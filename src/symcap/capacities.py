@@ -52,29 +52,16 @@ class BoundReport:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def _check_sorted_positive(values) -> tuple:
-    params = tuple(rat(v) for v in values)
-    if not params:
-        raise ValueError("parameter list is empty")
-    if any(not is_infinite(a) and a <= 0 for a in params):
-        raise ValueError("parameters must be positive")
-    if list(params) != sorted(params):
-        raise ValueError("parameters must be sorted nondecreasing")
-    if is_infinite(params[0]):
-        raise ValueError("smallest parameter must be finite")
-    return params
-
-
 def spectral_diameter_ellipsoid(params) -> CapacityValue:
     """min(a_n, 2 a_1): the short-axis doubling saturates for long ellipsoids."""
-    a = _check_sorted_positive(params)
+    a = ToricDomain(ELLIPSOID, tuple(rat(v) for v in params)).params
     double = 2 * a[0]
     value = double if is_infinite(a[-1]) else min(a[-1], double)
     return CapacityValue(value, attained=False, provenance="ellipsoid spectral diameter")
 
 
 def spectral_diameter_polydisk(params) -> CapacityValue:
-    a = _check_sorted_positive(params)
+    a = ToricDomain(POLYDISK, tuple(rat(v) for v in params)).params
     value = a[0] if len(a) == 1 else 2 * a[0]
     return CapacityValue(value, attained=False, provenance="polydisk spectral diameter")
 

@@ -139,10 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_system(args) -> RadialProfile | TwoBallSystem:
     name, params = parse_profile_spec(args.profile)
     space = parse_space(args.space)
-    if name not in ("zero",):
+    if name != "zero":
         params.setdefault("dim", space.dim)
-        if name == "zero":
-            params.pop("dim", None)
     try:
         system = build_profile(name, **params)
     except TypeError as exc:
@@ -193,7 +191,7 @@ def _run_pack(args) -> str:
         f"total {fmt(certificate.total)} "
         f"(capacities {fmt(certificate.simplices[0].capacity)} + "
         f"{fmt(certificate.simplices[1].capacity)}), "
-        f"verified={str(certificate.verified).lower()}\n"
+        f"verified={str(verify_certificate(certificate)).lower()}\n"
     )
 
 
@@ -229,7 +227,7 @@ def _run_check(args) -> str:
         with open(args.certificate, encoding="utf-8") as handle:
             data = json.load(handle)
         certificate = serialize.certificate_from_json(data)
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseFailure(f"cannot read certificate: {exc}") from exc
     ok = verify_certificate(certificate)
     if args.json:

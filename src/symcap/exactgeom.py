@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize_over_polytope, solve_lp
 from .rationals import fmt, is_infinite, rat
@@ -27,33 +26,64 @@ class DegenerateSimplexError(ValueError):
     """A simplex has affinely dependent vertices."""
 
 
-def vec(*coords) -> Vector:
-    return tuple(rat(c) for c in coords)
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def int_det(matrix) -> int:
+    """Determinant of a square integer matrix (the empty matrix gives 1).
+
+    Fraction-free Bareiss elimination: every intermediate entry is an
+    integer minor, so each division is exact and entries stay small.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - row[k] * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor != 0:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+def inward_facets(vertices) -> list[tuple[tuple[int, ...], int]]:
+    """Inward halfspaces nu . x > beta of a simplex with integer vertices.
+
+    One halfspace per facet that spans a hyperplane; for a full-dimensional
+    simplex their strict intersection is the open simplex.
+    """
+    n = len(vertices[0])
+    facets = []
+    for i, excluded in enumerate(vertices):
+        others = vertices[:i] + vertices[i + 1 :]
+        base = others[0]
+        edges = [[p[axis] - base[axis] for axis in range(n)] for p in others[1:]]
+        normal = [
+            (-1 if axis % 2 else 1)
+            * int_det([row[:axis] + row[axis + 1 :] for row in edges])
+            for axis in range(n)
+        ]
+        if all(c == 0 for c in normal):
+            continue
+        offset = _dot(normal, base)
+        side = _dot(normal, excluded) - offset
+        if side == 0:
+            continue
+        if side < 0:
+            normal = [-c for c in normal]
+            offset = -offset
+        facets.append((tuple(normal), offset))
+    return facets
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +102,9 @@ class SpecialAffineTransform:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise DimensionMismatch("matrix and translation sizes disagree")
-        if any(not isinstance(e, int) for row in self.matrix for e in row):
+        if any(type(e) is not int for row in self.matrix for e in row):
             raise ValueError("matrix entries must be integers")
-        if _det([[Fraction(e) for e in row] for row in self.matrix]) != 1:
+        if int_det(self.matrix) != 1:
             raise ValueError("matrix determinant must be +1")
 
     @property
@@ -90,7 +120,7 @@ class SpecialAffineTransform:
         if len(point) != self.dimension:
             raise DimensionMismatch("point dimension mismatch")
         return tuple(
-            sum((Fraction(m) * x for m, x in zip(row, point)), t)
+            sum((m * x for m, x in zip(row, point)), t)
             for row, t in zip(self.matrix, self.translation)
         )
 
@@ -109,21 +139,17 @@ class SpecialAffineTransform:
     def inverse(self) -> "SpecialAffineTransform":
         # The adjugate of an SL_n(Z) matrix is its integer inverse.
         n = self.dimension
-        rows = [[Fraction(e) for e in row] for row in self.matrix]
         inv = []
         for i in range(n):
             inv_row = []
             for j in range(n):
-                minor = [
-                    [rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-                ]
+                minor = [row[:i] + row[i + 1 :] for r, row in enumerate(self.matrix) if r != j]
                 sign = -1 if (i + j) % 2 else 1
-                entry = sign * (_det(minor) if minor else Fraction(1))
-                inv_row.append(int(entry))
+                inv_row.append(sign * int_det(minor))
             inv.append(tuple(inv_row))
         matrix = tuple(inv)
         translation = tuple(
-            -sum((Fraction(m) * t for m, t in zip(row, self.translation)), Fraction(0))
+            -sum((m * t for m, t in zip(row, self.translation)), Fraction(0))
             for row in matrix
         )
         return SpecialAffineTransform(matrix, translation)
@@ -222,14 +248,6 @@ class Polytope:
             b_ub.append(beta)
         doubled = list(objective) + [-c for c in objective]
         return maximize_over_polytope(doubled, a_ub, b_ub)
-
-
-def standard_simplex_polytope(capacity: Fraction, n: int) -> Polytope:
-    """H-rep of the closed simplex with vertices 0, a e_1, ..., a e_n."""
-    capacity = rat(capacity)
-    halfspaces = [(tuple(-1 if j == i else 0 for j in range(n)), Fraction(0)) for i in range(n)]
-    halfspaces.append((tuple(1 for _ in range(n)), capacity))
-    return Polytope.from_halfspaces(halfspaces)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +361,9 @@ class SimplexImage:
     transform: SpecialAffineTransform
 
     def __post_init__(self):
-        if rat(self.capacity) <= 0:
-            raise ValueError("capacity must be positive")
+        capacity = rat(self.capacity)
+        if is_infinite(capacity) or capacity <= 0:
+            raise ValueError("capacity must be a positive rational")
 
     @property
     def dimension(self) -> int:
@@ -356,11 +375,13 @@ def standard_simplex(capacity, n: int) -> SimplexImage:
 
 
 def simplex_vertices(simplex: SimplexImage) -> list[Vector]:
-    n = simplex.dimension
     a = rat(simplex.capacity)
-    base = [tuple(Fraction(0) for _ in range(n))]
-    base += [tuple(a if j == i else Fraction(0) for j in range(n)) for i in range(n)]
-    return [simplex.transform.apply(v) for v in base]
+    g = simplex.transform
+    columns = [
+        tuple([t + a * row[j] for row, t in zip(g.matrix, g.translation)])
+        for j in range(simplex.dimension)
+    ]
+    return [g.translation, *columns]
 
 
 def contains(polytope: Polytope, simplex: SimplexImage) -> bool:
@@ -370,19 +391,28 @@ def contains(polytope: Polytope, simplex: SimplexImage) -> bool:
     return all(polytope.contains_point(v) for v in simplex_vertices(simplex))
 
 
-def _check_full_dimensional(vertices: list[Vector]) -> None:
-    v0 = vertices[0]
-    edges = [[b - a for a, b in zip(v0, v)] for v in vertices[1:]]
-    if _det(edges) == 0:
+def _integer_points(points) -> list[tuple[int, ...]]:
+    """The points scaled by the lcm of their coordinate denominators."""
+    # Lists, not generator expressions, here and in simplex_vertices: on
+    # this hot path generator garbage measurably raised the search's peak RSS.
+    scale = math.lcm(*[c.denominator for p in points for c in p])
+    return [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in points]
+
+
+def _check_full_dimensional(vertices) -> None:
+    v0, *rest = _integer_points(vertices)
+    if int_det([[b - a for a, b in zip(v0, v)] for v in rest]) == 0:
         raise DegenerateSimplexError("simplex has zero volume")
 
 
 def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     """True iff the open simplices do not meet.
 
-    Decided exactly: the interiors of two full-dimensional convex bodies
-    intersect iff the LP max{t : sum l_i v_i = sum m_j w_j, coordinates
-    >= t, barycentric sums = 1} has a positive optimum.
+    Integer pre-checks (bounding boxes, facet hyperplanes) on the vertices
+    at a common scale settle most pairs.  The rest is decided exactly: the
+    interiors of two full-dimensional convex bodies intersect iff the LP
+    max{t : sum l_i v_i = sum m_j w_j, coordinates >= t, barycentric
+    sums = 1} has a positive optimum.
     """
     if s1.dimension != s2.dimension:
         raise DimensionMismatch("simplex dimensions disagree")
@@ -392,14 +422,16 @@ def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     _check_full_dimensional(v)
     _check_full_dimensional(w)
 
-    if _boxes_disjoint(v, w):
+    k = n + 1
+    scaled = _integer_points(v + w)
+    iv, iw = scaled[:k], scaled[k:]
+    if _boxes_disjoint(iv, iw):
         return True
-    if _separated_by_facet(v, w) or _separated_by_facet(w, v):
+    if _separated_by_facet(iv, iw) or _separated_by_facet(iw, iv):
         return True
 
     # Variables: l_0..l_n, m_0..m_n, t (all >= 0), with the true
     # barycentric weights being l_i + t and m_j + t.
-    k = n + 1
     nvars = 2 * k + 1
     a_eq = []
     b_eq = []
@@ -421,47 +453,7 @@ def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     return value == 0
 
 
-def _inward_facets(vertices: list[Vector]) -> list[tuple[Vector, Fraction]]:
-    """Halfspaces nu . x > beta whose strict intersection is the interior."""
-    n = len(vertices[0])
-    facets = []
-    for i, excluded in enumerate(vertices):
-        others = vertices[:i] + vertices[i + 1 :]
-        base = others[0]
-        edges = [[p[axis] - base[axis] for axis in range(n)] for p in others[1:]]
-        normal = _null_covector(edges, n)
-        if normal is None:
-            continue
-        offset = _dot(normal, base)
-        side = _dot(normal, excluded) - offset
-        if side == 0:
-            continue
-        if side < 0:
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        facets.append((normal, offset))
-    return facets
-
-
-def open_overlap_witness(v: list[Vector], w: list[Vector]) -> bool:
-    """Cheap sufficient test that two open simplices intersect.
-
-    True when a vertex or the centroid of one simplex lies strictly
-    inside the other; False is inconclusive (fall back to the LP).
-    """
-    for a, b in ((v, w), (w, v)):
-        facets = _inward_facets(a)
-        if len(facets) != len(a):
-            continue
-        k = len(b)
-        centroid = tuple(sum(p[i] for p in b) / k for i in range(len(b[0])))
-        for point in [*b, centroid]:
-            if all(_dot(nu, point) - beta > 0 for nu, beta in facets):
-                return True
-    return False
-
-
-def _boxes_disjoint(v: list[Vector], w: list[Vector]) -> bool:
+def _boxes_disjoint(v, w) -> bool:
     n = len(v[0])
     for axis in range(n):
         if max(p[axis] for p in v) <= min(p[axis] for p in w):
@@ -471,34 +463,8 @@ def _boxes_disjoint(v: list[Vector], w: list[Vector]) -> bool:
     return False
 
 
-def _separated_by_facet(v: list[Vector], w: list[Vector]) -> bool:
-    """Try the facet hyperplanes of hull(v) as separators (cheap pre-check)."""
-    n = len(v[0])
-    for facet in combinations(range(len(v)), n):
-        base = v[facet[0]]
-        edges = [[v[i][axis] - base[axis] for axis in range(n)] for i in facet[1:]]
-        normal = _null_covector(edges, n)
-        if normal is None:
-            continue
-        beta = _dot(normal, base)
-        side_v = [_dot(normal, p) - beta for p in v]
-        side_w = [_dot(normal, p) - beta for p in w]
-        if max(side_v) <= 0 and min(side_w) >= 0:
-            return True
-        if min(side_v) >= 0 and max(side_w) <= 0:
-            return True
-    return False
-
-
-def _null_covector(edges: list[list[Fraction]], n: int) -> Vector | None:
-    """A nonzero covector orthogonal to n-1 edge vectors, or None."""
-    if n == 1:
-        return (Fraction(1),)
-    normal = []
-    for axis in range(n):
-        minor = [[row[c] for c in range(n) if c != axis] for row in edges]
-        sign = -1 if axis % 2 else 1
-        normal.append(sign * _det(minor))
-    if all(c == 0 for c in normal):
-        return None
-    return tuple(normal)
+def _separated_by_facet(v, w) -> bool:
+    """Some facet hyperplane of hull(v) has all of w on its outer side."""
+    return any(
+        all(_dot(nu, p) <= beta for p in w) for nu, beta in inward_facets(v)
+    )

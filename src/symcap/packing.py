@@ -25,7 +25,9 @@ from .exactgeom import (
     SpecialAffineTransform,
     ToricDomain,
     contains,
+    int_det,
     interiors_disjoint,
+    inward_facets,
     moment_polytope,
 )
 from .rationals import is_infinite, rat
@@ -38,7 +40,6 @@ class PackingCertificate:
     simplices: tuple[SimplexImage, SimplexImage]
     domain: ToricDomain
     total: Fraction
-    verified: bool
 
     def __post_init__(self):
         if self.total != self.simplices[0].capacity + self.simplices[1].capacity:
@@ -115,10 +116,10 @@ def canonical_certificate(domain: ToricDomain, slack) -> PackingCertificate:
         SimplexImage(capacity, SpecialAffineTransform.identity(n)),
         SimplexImage(capacity, second),
     )
-    certificate = PackingCertificate(simplices, domain, 2 * capacity, verified=False)
+    certificate = PackingCertificate(simplices, domain, 2 * capacity)
     if not verify_certificate(certificate):
         raise AssertionError("canonical certificate failed its own verification")
-    return PackingCertificate(simplices, domain, 2 * capacity, verified=True)
+    return certificate
 
 
 def _ellipsoid_shear(n: int, a1: Fraction) -> SpecialAffineTransform:
@@ -161,25 +162,9 @@ def _unimodular_matrices(n: int, bound: int) -> tuple:
     matrices = []
     for flat in product(entries, repeat=n * n):
         matrix = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if _int_det(matrix) == 1:
+        if int_det(matrix) == 1:
             matrices.append(matrix)
     return tuple(matrices)
-
-
-def _int_det(matrix) -> int:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = 0
-    for j in range(n):
-        if matrix[0][j] == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in matrix[1:])
-        sign = -1 if j % 2 else 1
-        total += sign * matrix[0][j] * _int_det(minor)
-    return total
 
 
 def _contained_placements(
@@ -264,7 +249,8 @@ def _contained_placements(
 
 # Deterministic work caps so that infeasible probe totals fail fast.  A
 # probe that gives up early is conservative (the search reports a lower
-# bound either way); any certificate it does return is verified exactly.
+# bound either way); every certificate the search returns has passed
+# verify_certificate.
 _PLACEMENT_CAP = 80
 _LP_BUDGET = 200
 
@@ -295,38 +281,10 @@ def _annotate(placements, scale: int, common: int, capacity: Fraction):
         bbox = tuple(
             (min(v[i] for v in iverts), max(v[i] for v in iverts)) for i in range(n)
         )
-        facets = _int_facets(iverts)
+        facets = inward_facets(iverts)
         centroid = tuple(sum(v[i] for v in iverts) for i in range(n))
         entries.append((iverts, bbox, facets, centroid, (capacity, matrix, tau, scale)))
     return entries
-
-
-def _int_facets(vertices) -> list:
-    """Inward halfspaces (nu . x > beta) of an integer simplex."""
-    n = len(vertices[0])
-    facets = []
-    for i, excluded in enumerate(vertices):
-        others = vertices[:i] + vertices[i + 1 :]
-        base = others[0]
-        edges = [[p[axis] - base[axis] for axis in range(n)] for p in others[1:]]
-        normal = []
-        for axis in range(n):
-            minor = tuple(
-                tuple(row[c] for c in range(n) if c != axis) for row in edges
-            )
-            sign = -1 if axis % 2 else 1
-            normal.append(sign * (_int_det(minor) if minor else 1))
-        if all(c == 0 for c in normal):
-            continue
-        offset = sum(a * x for a, x in zip(normal, base))
-        side = sum(a * x for a, x in zip(normal, excluded)) - offset
-        if side == 0:
-            continue
-        if side < 0:
-            normal = [-c for c in normal]
-            offset = -offset
-        facets.append((tuple(normal), offset))
-    return facets
 
 
 def _strictly_inside(point, facets, weight: int = 1) -> bool:
@@ -422,10 +380,10 @@ def search_two_balls(
                 entries_b = _annotate(_trim(raw_b), scale_b, common, cap_b)
             pair = _find_disjoint_pair(entries_a, entries_b, same)
             if pair is not None:
-                s1, s2 = pair
-                return PackingCertificate(
-                    (s1, s2), domain, cap_a + cap_b, verified=True
-                )
+                certificate = PackingCertificate(pair, domain, cap_a + cap_b)
+                if not verify_certificate(certificate):
+                    raise AssertionError("search certificate failed verification")
+                return certificate
         return None
 
     best = probe(ceiling)

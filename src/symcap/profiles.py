@@ -117,12 +117,6 @@ class RadialProfile:
             ):
                 raise ValueError(f"profile not C^1 at r = {r}")
 
-    def param(self, name: str) -> Fraction:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def piece_at(self, r: Fraction) -> Piece:
         r = rat(r)
         if r < 0:
@@ -194,12 +188,6 @@ class TwoBallSystem:
     @property
     def space(self) -> Space:
         return self.positive.space
-
-    def param(self, name: str) -> Fraction:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
 
     def negate(self) -> "TwoBallSystem":
         return TwoBallSystem(

@@ -33,6 +33,8 @@ def rat(value: RationalLike) -> Fraction | float:
         if math.isinf(value) and value > 0:
             return INF
         raise ValueError(f"refusing to convert float {value!r}; pass 'p/q'")
+    if not isinstance(value, str):
+        raise TypeError(f"not a rational literal: {value!r}")
     text = value.strip()
     if text in ("inf", "+inf", "oo"):
         return INF

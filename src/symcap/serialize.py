@@ -19,7 +19,7 @@ from .exactgeom import (
     ToricDomain,
     simplex_vertices,
 )
-from .packing import PackingCertificate
+from .packing import PackingCertificate, verify_certificate
 from .profiles import Piece, RadialProfile, Space, TwoBallSystem
 from .rationals import fmt, rat
 from .spectra import OrbitRecord, SpectrumReport
@@ -50,7 +50,7 @@ def transform_to_json(g: SpecialAffineTransform) -> dict:
 
 def transform_from_json(data) -> SpecialAffineTransform:
     return SpecialAffineTransform(
-        tuple(tuple(int(e) for e in row) for row in data["matrix"]),
+        tuple(tuple(row) for row in data["matrix"]),
         vector_from_json(data["translation"]),
     )
 
@@ -126,17 +126,17 @@ def certificate_to_json(certificate: PackingCertificate) -> dict:
         "domain": domain_to_json(certificate.domain),
         "simplices": [simplex_to_json(s) for s in certificate.simplices],
         "total": fmt(certificate.total),
-        "verified": certificate.verified,
+        "verified": verify_certificate(certificate),
     }
 
 
 def certificate_from_json(data) -> PackingCertificate:
+    """Parse a certificate; any "verified" key is ignored, never trusted."""
     simplices = tuple(simplex_from_json(s) for s in data["simplices"])
+    if len(simplices) != 2:
+        raise ValueError("a certificate holds exactly two simplices")
     return PackingCertificate(
-        simplices,
-        domain_from_json(data["domain"]),
-        rat(data["total"]),
-        bool(data["verified"]),
+        simplices, domain_from_json(data["domain"]), rat(data["total"])
     )
 
 

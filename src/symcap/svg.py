@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactgeom import Polytope, moment_polytope, simplex_vertices
-from .packing import PackingCertificate
+from .packing import PackingCertificate, verify_certificate
 from .profiles import RadialProfile, TwoBallSystem, poly_derivative, poly_eval, t_s
 from .rationals import fmt, rat
 from .spectra import find_orbits
@@ -102,7 +102,7 @@ def render_packing(certificate: PackingCertificate) -> str:
         body.append(f'<polygon points="{pts}" {style}/>')
     label = (
         f"total {fmt(certificate.total)} ({_approx(certificate.total)}), "
-        f"verified={str(certificate.verified).lower()}"
+        f"verified={str(verify_certificate(certificate)).lower()}"
     )
     body.append(
         f'<text x="{_MARGIN}" y="24" font-family="monospace" font-size="13">{label}</text>'

@@ -54,6 +54,8 @@ def test_rejects_bad_parameter_lists():
     for bad in ([], [F(0)], [F(-1)], [F(2), F(1)], [INF, F(1)]):
         with pytest.raises(ValueError):
             spectral_diameter_ellipsoid(bad)
+    with pytest.raises(ValueError):
+        spectral_diameter_polydisk([F(1), INF])
 
 
 @given(sorted_tuples)

@@ -126,6 +126,67 @@ def test_check_detects_tampering(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("FAILED")
 
 
+def _drop_second_simplex(data):
+    del data["simplices"][1]
+
+
+def _det_two_matrix(data):
+    data["simplices"][1]["transform"]["matrix"] = [[2, 0], [0, 1]]
+
+
+def _fractional_matrix_entry(data):
+    data["simplices"][0]["transform"]["matrix"] = [[1.5, 0], [0, 1]]
+
+
+def _boolean_matrix_entry(data):
+    data["simplices"][0]["transform"]["matrix"] = [[True, False], [False, True]]
+
+
+def _float_capacity(data):
+    data["simplices"][0]["capacity"] = 0.5
+
+
+def _infinite_capacity(data):
+    data["simplices"][0]["capacity"] = "inf"
+    data["total"] = "inf"
+
+
+def _unsorted_params(data):
+    data["domain"]["params"] = ["2", "1"]
+
+
+def _short_translation(data):
+    data["simplices"][0]["transform"]["translation"] = ["0"]
+
+
+def _null_capacity(data):
+    data["simplices"][0]["capacity"] = None
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop_second_simplex,
+        _det_two_matrix,
+        _fractional_matrix_entry,
+        _boolean_matrix_entry,
+        _float_capacity,
+        _infinite_capacity,
+        _unsorted_params,
+        _short_translation,
+        _null_capacity,
+    ],
+)
+def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(["pack", "--domain", "ellipsoid:1,2", "--out", str(path)])
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
 def test_spectrum_text_and_csv(capsys):
     assert run(["spectrum", "--profile", "reeb:sigma=1/2,delta=1/10"]) == EXIT_OK
     assert capsys.readouterr().out == "{-21/40}\n"

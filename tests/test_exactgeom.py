@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from symcap.exactgeom import (
     ball,
     contains,
     ellipsoid,
+    int_det,
     interiors_disjoint,
     moment_polytope,
     polydisk,
@@ -64,6 +66,32 @@ def test_group_laws(m1, t1, m2, t2):
     product = g1.compose(g2)  # determinant +1 is checked on construction
     assert product.compose(product.inverse()) == SpecialAffineTransform.identity(2)
     assert g1.inverse().compose(g1) == SpecialAffineTransform.identity(2)
+
+
+def leibniz_det(matrix) -> Fraction:
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(square_matrices)
+@settings(max_examples=300)
+def test_int_det_matches_leibniz(matrix):
+    assert int_det(matrix) == leibniz_det(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +178,51 @@ def test_degenerate_vertex_set_rejected():
 
     with pytest.raises(DegenerateSimplexError):
         _check_full_dimensional([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary shears: an element of SL_n(Z)."""
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.sampled_from([-1, 1]))
+        matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+    return tuple(tuple(row) for row in matrix)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two simplices on a half-integer grid, so touching and overlapping
+    pairs are common, plus a common move g in SL_n(Z) x Z^n."""
+    n = draw(st.integers(2, 3))
+    half_integers = st.integers(-2, 2).map(lambda k: F(k, 2))
+
+    def transform(translations):
+        return SpecialAffineTransform(
+            draw(unimodular(n)), tuple(draw(translations) for _ in range(n))
+        )
+
+    pair = tuple(
+        SimplexImage(draw(st.sampled_from([F(1, 2), F(1), F(3, 2)])), transform(half_integers))
+        for _ in range(2)
+    )
+    return pair, transform(st.integers(-3, 3).map(F))
+
+
+@given(simplex_pairs())
+@settings(max_examples=150, deadline=None)
+def test_disjointness_is_symmetric(case):
+    (s1, s2), _ = case
+    assert interiors_disjoint(s1, s2) == interiors_disjoint(s2, s1)
+
+
+@given(simplex_pairs())
+@settings(max_examples=150, deadline=None)
+def test_disjointness_invariant_under_common_move(case):
+    (s1, s2), g = case
+    moved = [SimplexImage(s.capacity, g.compose(s.transform)) for s in (s1, s2)]
+    assert interiors_disjoint(s1, s2) == interiors_disjoint(*moved)
 
 
 def test_disjointness_in_three_dimensions():

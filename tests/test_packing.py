@@ -43,7 +43,6 @@ SEARCH = SearchConfig(
 def test_canonical_certificates_verify(domain):
     cert = canonical_certificate(domain, F(1, 100))
     assert cert.total == F(199, 100)
-    assert cert.verified
     assert verify_certificate(cert)
 
 
@@ -66,17 +65,17 @@ def test_canonical_preconditions():
 def test_verify_rejects_overlap_and_escape():
     domain = ellipsoid(1, 2)
     delta = SimplexImage(F(1), SpecialAffineTransform.identity(2))
-    overlapping = PackingCertificate((delta, delta), domain, F(2), verified=False)
+    overlapping = PackingCertificate((delta, delta), domain, F(2))
     assert not verify_certificate(overlapping)
     big = SimplexImage(F(3), SpecialAffineTransform.identity(2))
-    escaping = PackingCertificate((delta, big), domain, F(4), verified=False)
+    escaping = PackingCertificate((delta, big), domain, F(4))
     assert not verify_certificate(escaping)
 
 
 def test_total_must_match_capacities():
     delta = SimplexImage(F(1), SpecialAffineTransform.identity(2))
     with pytest.raises(ValueError):
-        PackingCertificate((delta, delta), ellipsoid(1, 2), F(3), verified=False)
+        PackingCertificate((delta, delta), ellipsoid(1, 2), F(3))
 
 
 def test_certificate_survives_global_transform():
@@ -87,7 +86,7 @@ def test_certificate_survives_global_transform():
     )
     image = moment_polytope(cert.domain).transform(g)
     domain = polytope_domain(image)
-    moved_cert = PackingCertificate(moved, domain, cert.total, verified=False)
+    moved_cert = PackingCertificate(moved, domain, cert.total)
     assert verify_certificate(moved_cert)
 
 
@@ -110,7 +109,7 @@ def test_search_reaches_known_totals(domain, floor):
 
     cert = search_two_balls(domain, SEARCH)
     assert cert is not None
-    assert cert.verified and verify_certificate(cert)
+    assert verify_certificate(cert)
     assert floor <= cert.total <= c2b_closed_form(domain).value
 
 

@@ -7,13 +7,14 @@ from symcap import serialize
 from symcap.capacities import c2b_closed_form, cylinder_bound_report
 from symcap.exactgeom import (
     Polytope,
+    SimplexImage,
     SpecialAffineTransform,
     ellipsoid,
     moment_polytope,
     polydisk,
     polytope_domain,
 )
-from symcap.packing import canonical_certificate
+from symcap.packing import PackingCertificate, canonical_certificate
 from symcap.profiles import bump, reeb_composite, two_ball
 from symcap.rationals import INF
 from symcap.spectra import action_spectrum
@@ -63,6 +64,18 @@ def test_certificate_round_trip():
     certificate = canonical_certificate(ellipsoid(1, 2), F(1, 100))
     data = json.loads(serialize.dumps(serialize.certificate_to_json(certificate)))
     assert serialize.certificate_from_json(data) == certificate
+
+
+def test_verified_key_is_the_verifiers_verdict():
+    certificate = canonical_certificate(ellipsoid(1, 2), F(1, 100))
+    data = serialize.certificate_to_json(certificate)
+    data["verified"] = False
+    reparsed = serialize.certificate_from_json(data)
+    assert serialize.certificate_to_json(reparsed)["verified"] is True
+
+    delta = SimplexImage(F(1), SpecialAffineTransform.identity(2))
+    overlapping = PackingCertificate((delta, delta), ellipsoid(1, 2), F(2))
+    assert serialize.certificate_to_json(overlapping)["verified"] is False
 
 
 def test_simplex_json_exposes_vertices():
