@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize_over_polytope, solve_lp
+from .linprog import INFEASIBLE, OPTIMAL, solve_lp
 from .rationals import fmt, is_infinite, rat
 
 Vector = tuple[Fraction, ...]
@@ -56,6 +57,16 @@ def int_det(matrix) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def cofactor_vector(rows) -> list[int]:
+    """The integer vector v with det([*rows, x]) = v . x, for n - 1 integer
+    rows of length n: the cofactors of a last row, a normal of the rows."""
+    n = len(rows) + 1
+    return [
+        (-1) ** (n - 1 + k) * int_det([row[:k] + row[k + 1 :] for row in rows])
+        for k in range(n)
+    ]
+
+
 def inward_facets(vertices) -> list[tuple[tuple[int, ...], int]]:
     """Inward halfspaces nu . x > beta of a simplex with integer vertices.
 
@@ -68,11 +79,7 @@ def inward_facets(vertices) -> list[tuple[tuple[int, ...], int]]:
         others = vertices[:i] + vertices[i + 1 :]
         base = others[0]
         edges = [[p[axis] - base[axis] for axis in range(n)] for p in others[1:]]
-        normal = [
-            (-1 if axis % 2 else 1)
-            * int_det([row[:axis] + row[axis + 1 :] for row in edges])
-            for axis in range(n)
-        ]
+        normal = cofactor_vector(edges)
         if all(c == 0 for c in normal):
             continue
         offset = _dot(normal, base)
@@ -218,36 +225,44 @@ class Polytope:
         )
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact per-axis extents, via linear programming.
+        """Exact per-axis extents: the coordinate ranges of the vertices.
+
+        Works on integers, with the offsets scaled by the lcm of their
+        denominators.  The polytope is bounded iff its recession cone
+        {d : nu . d <= 0} is {0}; every extreme ray of that cone is the null
+        vector of n - 1 independent normals, so those are tested first.  A
+        bounded polytope is the hull of its vertices, the feasible points
+        where n independent constraints are tight (Cramer's rule).
 
         Raises ValueError when the polytope is empty or unbounded.
         """
         n = self.dimension
-        box = []
-        for axis in range(n):
-            extents = []
-            for sign in (1, -1):
-                objective = [Fraction(sign if j == axis else 0) for j in range(n)]
-                status, value = self._maximize(objective)
-                if status == UNBOUNDED:
-                    raise ValueError("polytope is unbounded")
-                if status == INFEASIBLE:
-                    raise ValueError("polytope is empty")
-                extents.append(sign * value)
-            box.append((extents[1], extents[0]))
-        return box
-
-    def _maximize(self, objective) -> tuple[str, Fraction | None]:
-        # Split free variables as x = u - v with u, v >= 0.
-        n = self.dimension
-        a_ub = []
-        b_ub = []
-        for nu, beta in self.constraints:
-            row = [Fraction(c) for c in nu] + [-Fraction(c) for c in nu]
-            a_ub.append(row)
-            b_ub.append(beta)
-        doubled = list(objective) + [-c for c in objective]
-        return maximize_over_polytope(doubled, a_ub, b_ub)
+        normals = [nu for nu, _ in self.constraints]
+        for tight in combinations(normals, n - 1):
+            ray = cofactor_vector(tight)
+            dots = [_dot(nu, ray) for nu in normals]
+            if any(ray) and (max(dots) <= 0 or min(dots) >= 0):
+                raise ValueError("polytope is unbounded")
+        scale = math.lcm(*[beta.denominator for _, beta in self.constraints])
+        rows = [(nu, int(beta * scale)) for nu, beta in self.constraints]
+        vertices = []
+        for tight in combinations(rows, n):
+            det = int_det([nu for nu, _ in tight])
+            if det == 0:
+                continue
+            point = [
+                int_det([nu[:k] + (b,) + nu[k + 1 :] for nu, b in tight]) for k in range(n)
+            ]
+            if det < 0:
+                det, point = -det, [-x for x in point]
+            if all(_dot(nu, point) <= det * b for nu, b in rows):
+                vertices.append([Fraction(x, det * scale) for x in point])
+        if not vertices:
+            raise ValueError("polytope is empty or unbounded")
+        return [
+            (min(v[axis] for v in vertices), max(v[axis] for v in vertices))
+            for axis in range(n)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +292,7 @@ class ToricDomain:
         if self.kind == POLYTOPE:
             if self.polytope is None:
                 raise ValueError("polytope kind requires an H-rep")
+            self.polytope.bounding_box()  # raises for unbounded or empty polytopes
             return
         if not self.params:
             raise ValueError("at least one parameter required")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .capacities import c2b_closed_form
 from .exactgeom import (
@@ -24,15 +25,21 @@ from .exactgeom import (
     SimplexImage,
     SpecialAffineTransform,
     ToricDomain,
+    cofactor_vector,
     contains,
-    int_det,
     interiors_disjoint,
     inward_facets,
     moment_polytope,
 )
 from .rationals import is_infinite, rat
 
-SEARCH_DIMENSION_CAP = 4
+# Work budget of the SL_n(Z) enumeration, in (2B+1)^(n^2-1) walked tuples,
+# so that an admitted enumeration takes well under a second.  On a 2-vCPU
+# Xeon with Python 3.11, n = 3, B = 2 walks 390,625 tuples in 0.25 s
+# (67,704 matrices); n = 3, B = 3 would walk 5.8M tuples in 2.5 s (640,824
+# matrices, each then scanned for placements) and n = 4, B = 1 14.3M, so
+# both are refused.  In dimension 2 the budget admits B <= 49.
+ENUMERATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,11 @@ class SearchConfig:
     Matrix entries range over [-B, B]; translations run on a grid of
     step 1/q over the polytope's bounding box.  When ``equal_balls`` is
     false the search also probes the coarse unequal splits (t/3, 2t/3)
-    and (t/4, 3t/4) of each candidate total.  Enumeration cost grows as
-    (2B+1)^(n^2), which is why the search is capped at dimension 4.
+    and (t/4, 3t/4) of each candidate total.  The SL_n(Z) enumeration
+    walks (2B+1)^(n^2-1) integer tuples, and a search that would walk
+    more than ENUMERATION_BUDGET of them is refused: the budget admits
+    B = 2 in dimension 3 and B <= 49 in dimension 2, and no search in
+    dimension 4 or more.
     """
 
     matrix_entry_bound: int = 2
@@ -157,13 +167,43 @@ def _corner_reflection(n: int, corner) -> SpecialAffineTransform:
 
 @lru_cache(maxsize=None)
 def _unimodular_matrices(n: int, bound: int) -> tuple:
-    """All SL_n(Z) matrices with entries in [-bound, bound], lexicographic."""
+    """All SL_n(Z) matrices with entries in [-bound, bound], lexicographic.
+
+    Expanding det along the last row gives det = sum_j r_j C_j, where the
+    cofactors C depend only on the first n - 1 rows.  So those rows and the
+    first n - 1 entries of the last row are walked in lexicographic order,
+    and det = 1 is solved for the last entry; a prefix whose cofactors have
+    gcd != 1 admits no last row.  Rows are shared between matrices.
+    Raises ValueError, before any enumeration, when the walk would exceed
+    ENUMERATION_BUDGET tuples.
+    """
+    tuples = (2 * bound + 1) ** (n * n - 1)
+    if tuples > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"SL_{n}(Z) enumeration with entry bound {bound} walks {tuples} "
+            f"tuples, above the budget of {ENUMERATION_BUDGET}"
+        )
     entries = range(-bound, bound + 1)
+    width = len(entries)
+    rows = list(product(entries, repeat=n))
     matrices = []
-    for flat in product(entries, repeat=n * n):
-        matrix = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if int_det(matrix) == 1:
-            matrices.append(matrix)
+    for prefix in product(rows, repeat=n - 1):
+        *cofactors, c_last = cofactor_vector(prefix)
+        if math.gcd(*cofactors, c_last) != 1:
+            continue
+        # rems[index] = 1 - sum_{j<n} r_j C_j for the index-th choice of the
+        # last row's leading entries, in lexicographic order; that choice
+        # completed by r is the row rows[index * width + bound + r].
+        rems = [1]
+        for c in cofactors:
+            rems = [rem - r * c for rem in rems for r in entries]
+        for index, rem in enumerate(rems):
+            base = index * width + bound
+            if c_last == 0:
+                if rem == 0:
+                    matrices.extend((*prefix, rows[base + r]) for r in entries)
+            elif rem % c_last == 0 and -bound <= rem // c_last <= bound:
+                matrices.append((*prefix, rows[base + rem // c_last]))
     return tuple(matrices)
 
 
@@ -190,60 +230,65 @@ def _contained_placements(
     scale = math.lcm(*denominators)
     step = scale // q
     c_scaled = int(capacity * scale)
-    widths = [hi - lo for lo, hi in box]
+    widths = [int((hi - lo) * scale) for lo, hi in box]
 
     axis_ranges = []
     for (lo, _), width in zip(box, widths):
         start = int(lo * scale)
-        count = int(width * q)  # floor: number of whole grid steps in the width
+        count = width // step  # number of whole grid steps in the width
         axis_ranges.append(range(start, start + count * step + 1, step))
 
+    normals = [nu for nu, _ in polytope.constraints]
+    betas = [int(beta * scale) for _, beta in polytope.constraints]
+    lasts = [nu[-1] for nu in normals]
+    # Iterate the leading axes and solve the last one analytically: each
+    # constraint is affine in tau, so the feasible last coordinate is an
+    # integer interval.  The leading part of nu . tau does not depend on
+    # the matrix, so it is computed once per prefix here.
+    prefixes = [
+        (prefix, [sum(nu[i] * prefix[i] for i in range(n - 1)) for nu in normals])
+        for prefix in product(*axis_ranges[:-1])
+    ]
+    last = axis_ranges[-1]
+    last_lo, last_hi = last.start, last[-1]
+    # A row's spread s fits the box width w iff c * s <= w, i.e. s <= w // c.
+    limits = [width // c_scaled for width in widths]
+
+    # The translations depend on the matrix only through its slacks, and
+    # far fewer slack vectors than matrices occur, so each is scanned once.
+    translations: dict[tuple, list] = {}
     placements = []
     for matrix in matrices:
         # Quick prune: the simplex's own extent must fit in the box.
-        fits = True
-        for i in range(n):
-            row = matrix[i]
-            spread = max(max(row), 0) - min(min(row), 0)
-            if capacity * spread > widths[i]:
-                fits = False
-                break
-        if not fits:
+        if any(
+            max(max(row), 0) - min(min(row), 0) > limit
+            for row, limit in zip(matrix, limits)
+        ):
             continue
-        slacks = []
-        for nu, beta in polytope.constraints:
-            worst = 0
-            for j in range(n):
-                val = c_scaled * sum(nu[i] * matrix[i][j] for i in range(n))
-                if val > worst:
-                    worst = val
-            slacks.append(int(beta * scale) - worst)
-        normals = [nu for nu, _ in polytope.constraints]
-        # Iterate the leading axes and solve the last one analytically:
-        # each constraint is affine in tau, so the feasible last
-        # coordinate is an integer interval.
-        last = axis_ranges[-1]
-        last_lo, last_hi = last.start, last[-1]
-        for prefix in product(*axis_ranges[:-1]):
-            lo_t, hi_t = last_lo, last_hi
-            feasible = True
-            for nu, slack in zip(normals, slacks):
-                rem = slack - sum(nu[i] * prefix[i] for i in range(n - 1))
-                c = nu[-1]
-                if c == 0:
-                    if rem < 0:
-                        feasible = False
-                        break
-                elif c > 0:
-                    hi_t = min(hi_t, rem // c)
+        columns = list(zip(*matrix))
+        slacks = tuple(
+            beta - c_scaled * max(0, *[sum(map(mul, nu, col)) for col in columns])
+            for nu, beta in zip(normals, betas)
+        )
+        taus = translations.get(slacks)
+        if taus is None:
+            taus = translations[slacks] = []
+            for prefix, dots in prefixes:
+                lo_t, hi_t = last_lo, last_hi
+                for dot, slack, c in zip(dots, slacks, lasts):
+                    rem = slack - dot
+                    if c == 0:
+                        if rem < 0:
+                            break
+                    elif c > 0:
+                        hi_t = min(hi_t, rem // c)
+                    else:
+                        lo_t = max(lo_t, -((-rem) // c))
                 else:
-                    lo_t = max(lo_t, -((-rem) // c))
-            if not feasible or lo_t > hi_t:
-                continue
-            k0 = -((last_lo - lo_t) // step)
-            k1 = (hi_t - last_lo) // step
-            for k in range(k0, k1 + 1):
-                placements.append((matrix, (*prefix, last_lo + k * step)))
+                    k0 = -((last_lo - lo_t) // step)
+                    k1 = (hi_t - last_lo) // step
+                    taus += [(*prefix, last_lo + k * step) for k in range(k0, k1 + 1)]
+        placements += [(matrix, tau) for tau in taus]
     return placements, scale
 
 
@@ -338,11 +383,9 @@ def search_two_balls(
     """Bisection on the packed total; returns the best verified certificate,
     or None when no placement verifies at any probed total."""
     polytope = moment_polytope(domain)
-    n = polytope.dimension
-    if n > SEARCH_DIMENSION_CAP:
-        raise ValueError(f"search supports dimension <= {SEARCH_DIMENSION_CAP}")
+    # Refuses a too-large enumeration before doing any of it.
+    matrices = _unimodular_matrices(polytope.dimension, config.matrix_entry_bound)
     box = polytope.bounding_box()  # raises for unbounded input
-    matrices = _unimodular_matrices(n, config.matrix_entry_bound)
     eps = rat(config.bisection_tolerance)
 
     try:

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from symcap import serialize
+from symcap import packing, serialize
 from symcap.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -91,6 +92,28 @@ def test_pack_canonical(capsys, tmp_path):
     assert data["total"] == "199/100"
 
 
+def test_pack_search_3d_golden_bytes(capsys):
+    golden = Path(__file__).parent / "data" / "pack_search_ellipsoid_1_2_3.json"
+    assert run(
+        ["pack", "--domain", "ellipsoid:1,2,3", "--search", "--grid", "8", "--json"]
+    ) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "domain,bound",
+    [("ellipsoid:1,2,3", "50"), ("ellipsoid:1,2", "50"), ("ellipsoid:1,1,1,1", "2")],
+)
+def test_pack_search_over_budget_exits_3(domain, bound, capsys, monkeypatch):
+    def enumeration_started(rows):
+        raise AssertionError("the SL_n(Z) enumeration started")
+
+    monkeypatch.setattr(packing, "cofactor_vector", enumeration_started)
+    argv = ["pack", "--domain", domain, "--search", "--matrix-bound", bound]
+    assert run(argv) == EXIT_PRECONDITION
+    assert "budget" in capsys.readouterr().err
+
+
 def test_pack_search(capsys):
     assert run(
         ["pack", "--domain", "ellipsoid:1,2", "--search", "--tolerance", "1/4"]
@@ -163,6 +186,21 @@ def _null_capacity(data):
     data["simplices"][0]["capacity"] = None
 
 
+def _unbounded_domain(data):
+    data["domain"] = {"kind": "polytope", "halfspaces": [{"normal": [1, 1], "offset": "100"}]}
+
+
+def _empty_domain(data):
+    data["domain"] = {
+        "kind": "polytope",
+        "halfspaces": [
+            {"normal": [-1, 0], "offset": "0"},
+            {"normal": [0, -1], "offset": "0"},
+            {"normal": [1, 1], "offset": "-1"},
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -175,6 +213,8 @@ def _null_capacity(data):
         _unsorted_params,
         _short_translation,
         _null_capacity,
+        _unbounded_domain,
+        _empty_domain,
     ],
 )
 def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):

@@ -22,6 +22,7 @@ from symcap.exactgeom import (
     simplex_vertices,
     standard_simplex,
 )
+from symcap.linprog import OPTIMAL, maximize_over_polytope
 
 F = Fraction
 
@@ -266,3 +267,52 @@ def test_bounding_box():
     ]
     with pytest.raises(ValueError):
         moment_polytope(ellipsoid(1, "inf")).bounding_box()
+
+
+def _lp_bounding_box(polytope):
+    """Per-axis extents by linear programming, or None when the polytope is
+    empty or unbounded: the reference for the vertex-based bounding box."""
+    n = polytope.dimension
+    # Free variables split as x = u - v with u, v >= 0.
+    a_ub = [[F(c) for c in nu] + [-F(c) for c in nu] for nu, _ in polytope.constraints]
+    b_ub = [beta for _, beta in polytope.constraints]
+    box = []
+    for axis in range(n):
+        extents = []
+        for sign in (1, -1):
+            objective = [F(sign if j == axis else 0) for j in range(n)]
+            status, value = maximize_over_polytope(
+                objective + [-c for c in objective], a_ub, b_ub
+            )
+            if status != OPTIMAL:
+                return None
+            extents.append(sign * value)
+        box.append((extents[1], extents[0]))
+    return box
+
+
+def _halfspace_lists(n):
+    halfspace = st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+        st.fractions(-4, 6, max_denominator=3),
+    )
+    return st.lists(halfspace, min_size=1, max_size=n + 4)
+
+
+# Half the examples are cut by the box [-5, 5]^n, so that most of those
+# are bounded; most of the others are unbounded or empty.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_halfspace_lists), st.booleans())
+def test_bounding_box_matches_linear_programming(halfspaces, boxed):
+    n = len(halfspaces[0][0])
+    if boxed:
+        for axis in range(n):
+            for sign in (1, -1):
+                halfspaces.append((tuple(sign * (j == axis) for j in range(n)), F(5)))
+    polytope = Polytope.from_halfspaces(halfspaces)
+    expected = _lp_bounding_box(polytope)
+    if expected is None:
+        with pytest.raises(ValueError):
+            polytope.bounding_box()
+    else:
+        assert polytope.bounding_box() == expected

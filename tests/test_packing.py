@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,9 @@ from symcap.exactgeom import (
     SimplexImage,
     SpecialAffineTransform,
     ball,
+    contains,
     ellipsoid,
+    int_det,
     moment_polytope,
     polydisk,
     polytope_domain,
@@ -15,6 +18,8 @@ from symcap.exactgeom import (
 from symcap.packing import (
     PackingCertificate,
     SearchConfig,
+    _contained_placements,
+    _unimodular_matrices,
     canonical_certificate,
     search_two_balls,
     verify_certificate,
@@ -133,6 +138,79 @@ def test_search_on_general_polytope():
 def test_search_dimension_cap():
     with pytest.raises(ValueError):
         search_two_balls(ellipsoid(1, 1, 1, 1, 1), SEARCH)
+    with pytest.raises(ValueError):
+        search_two_balls(ellipsoid(1, 1, 1, 1), SEARCH)
+
+
+# ---------------------------------------------------------------------------
+# SL_n(Z) enumeration and grid placements
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,bound", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
+def test_unimodular_matrices_match_brute_force(n, bound):
+    entries = range(-bound, bound + 1)
+    brute = []
+    for flat in product(entries, repeat=n * n):
+        matrix = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        if int_det(matrix) == 1:
+            brute.append(matrix)
+    assert list(_unimodular_matrices(n, bound)) == brute
+
+
+def test_unimodular_matrices_sl3_bound_2():
+    matrices = _unimodular_matrices(3, 2)
+    assert len(matrices) == 67704
+    assert matrices[0] == ((-2, -2, -1), (-2, -1, -2), (-1, -2, 0))
+    assert matrices[-1] == ((2, 2, 1), (2, 1, 2), (1, 2, -1))
+
+
+@pytest.mark.parametrize("n,bound", [(3, 3), (4, 1), (2, 50)])
+def test_enumeration_budget_refuses_up_front(n, bound):
+    with pytest.raises(ValueError, match="budget"):
+        _unimodular_matrices(n, bound)
+
+
+def _grid(box, q):
+    """Every translation lo + k/q inside the box, per axis."""
+    axes = [
+        [lo + F(k, q) for k in range(int((hi - lo) * q) + 1)] for lo, hi in box
+    ]
+    return product(*axes)
+
+
+_QUADRILATERAL = Polytope.from_halfspaces(
+    [((-1, 0), F(0)), ((0, -1), F(1)), ((1, 1), F(2)), ((1, -2), F(3, 2))]
+)
+
+
+@pytest.mark.parametrize(
+    "polytope,capacities,enumeration,q",
+    [
+        (moment_polytope(ellipsoid(1, 2)), [F(1), F(1, 3), F(2, 3)], (2, 2), 3),
+        (_QUADRILATERAL, [F(1, 2), F(1, 3), F(2, 3)], (2, 1), 4),
+        (moment_polytope(polydisk(1, 1, 2)), [F(1, 2), F(1, 3), F(2, 3)], (3, 1), 1),
+        (moment_polytope(ellipsoid(1, 2, 3)), [F(1), F(1, 2), F(2, 3)], (3, 1), 2),
+    ],
+    ids=["E(1,2)", "quadrilateral", "P(1,1,2)", "E(1,2,3)"],
+)
+def test_contained_placements_agree_with_contains(polytope, capacities, enumeration, q):
+    # Every returned placement is contained; every other grid placement of
+    # a matrix that has one is not.
+    box = polytope.bounding_box()
+    matrices = _unimodular_matrices(*enumeration)
+    if polytope.dimension == 3:
+        matrices = matrices[::37]  # a spread-out sample keeps the test fast
+    for capacity in capacities:
+        placements, scale = _contained_placements(polytope, box, capacity, matrices, q)
+        found = {}
+        for matrix, tau in placements:
+            found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
+        assert found
+        for matrix, taus in found.items():
+            for tau in _grid(box, q):
+                simplex = SimplexImage(capacity, SpecialAffineTransform(matrix, tau))
+                assert contains(polytope, simplex) == (tau in taus)
 
 
 def test_search_config_validation():
