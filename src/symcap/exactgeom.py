@@ -113,6 +113,8 @@ class SpecialAffineTransform:
             raise ValueError("matrix entries must be integers")
         if int_det(self.matrix) != 1:
             raise ValueError("matrix determinant must be +1")
+        if any(is_infinite(t) for t in self.translation):
+            raise ValueError("translation entries must be finite")
 
     @property
     def dimension(self) -> int:
@@ -171,6 +173,8 @@ def _normalize_constraint(normal, offset) -> tuple[tuple[int, ...], Fraction]:
     """Scale a halfspace nu . x <= beta so nu has coprime integer entries."""
     normal = [rat(c) for c in normal]
     offset = rat(offset)
+    if any(is_infinite(c) for c in (*normal, offset)):
+        raise ValueError("halfspace entries must be finite")
     if all(c == 0 for c in normal):
         raise ValueError("zero normal in halfspace")
     denom = math.lcm(*(c.denominator for c in normal))

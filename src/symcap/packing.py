@@ -6,6 +6,12 @@ exact lower bound for the two-ball capacity of the domain.  Canonical
 certificates reproduce the standard decompositions of long ellipsoids
 and polydisks; the search is a certified lower-bound engine over a
 bounded slice of the special affine group, never an exact optimizer.
+
+The search decides disjointness with an exact integer separating-axis
+test on precomputed vertex, facet and edge data (`_separated`); the
+verifier keeps its own, independent implementation, the box and facet
+checks plus the rational LP of `interiors_disjoint`, and every returned
+certificate has passed it.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import mul
+from itertools import combinations, product
+from operator import mul, sub
 
 from .capacities import c2b_closed_form
 from .exactgeom import (
@@ -64,7 +70,11 @@ class SearchConfig:
     walks (2B+1)^(n^2-1) integer tuples, and a search that would walk
     more than ENUMERATION_BUDGET of them is refused: the budget admits
     B = 2 in dimension 3 and B <= 49 in dimension 2, and no search in
-    dimension 4 or more.
+    dimension 4 or more.  Each probe keeps the first and last 80 grid
+    placements of each capacity and decides every pair of them exactly
+    with the integer separating-axis test, so a failed probe is a
+    complete scan of those placements; that trim is the search's only
+    truncation.
     """
 
     matrix_entry_bound: int = 2
@@ -292,12 +302,13 @@ def _contained_placements(
     return placements, scale
 
 
-# Deterministic work caps so that infeasible probe totals fail fast.  A
-# probe that gives up early is conservative (the search reports a lower
-# bound either way); every certificate the search returns has passed
+# Deterministic work cap so that infeasible probe totals fail fast: a probe
+# keeps only the first and last _PLACEMENT_CAP placements of each capacity
+# (`_trim`), and that is the search's only truncation.  Every pair of the
+# trimmed lists is then decided exactly, so a failed probe is a complete
+# scan of them; every certificate the search returns has passed
 # verify_certificate.
 _PLACEMENT_CAP = 80
-_LP_BUDGET = 200
 
 
 def _trim(placements: list) -> list:
@@ -308,9 +319,10 @@ def _trim(placements: list) -> list:
 
 def _annotate(placements, scale: int, common: int, capacity: Fraction):
     """Precompute integer scan data per placement at the shared scale
-    `common`: vertices, bounding box, inward facet halfspaces, and the
-    centroid times (n + 1).  The expensive exact objects are built
-    lazily via the trailing (capacity, matrix, tau, scale) tuple.
+    `common`: vertices, bounding box, inward facet halfspaces and, in
+    dimension 3, the edge data of `_edge_planes`.  The expensive exact
+    objects are built lazily via the trailing (capacity, matrix, tau,
+    scale) tuple.
     """
     factor = common // scale
     entries = []
@@ -327,17 +339,126 @@ def _annotate(placements, scale: int, common: int, capacity: Fraction):
             (min(v[i] for v in iverts), max(v[i] for v in iverts)) for i in range(n)
         )
         facets = inward_facets(iverts)
-        centroid = tuple(sum(v[i] for v in iverts) for i in range(n))
-        entries.append((iverts, bbox, facets, centroid, (capacity, matrix, tau, scale)))
+        edges = _edge_planes(iverts, matrix) if n == 3 else ()
+        entries.append((iverts, bbox, facets, edges, (capacity, matrix, tau, scale)))
     return entries
 
 
-def _strictly_inside(point, facets, weight: int = 1) -> bool:
-    # `weight` handles points stored as a sum of `weight` vertices.
-    return all(
-        sum(a * x for a, x in zip(nu, point)) > beta * weight
-        for nu, beta in facets
+def _cross(a, b) -> tuple[int, int, int]:
+    # cofactor_vector([a, b]) is the same vector, but at 14 us a call
+    # against 0.4 us it would dominate `_annotate`, which needs twelve.
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
+
+
+def _edge_planes(iverts, matrix) -> list[tuple[int, ...]]:
+    """Per edge of a 3-simplex, the flat tuple (a, p, g, h): its direction
+    a, its first endpoint p, and w x a for the two vertices w off the edge,
+    taken relative to p.  For any direction d, (a x d) . w = d . (w x a),
+    so d . g and d . h say on which side of the plane through the edge
+    with normal a x d those two vertices lie.  Directions come from the
+    matrix columns, the simplex's edges divided by its capacity.
+    """
+    rel = [(0, 0, 0), *zip(*matrix)]
+    edges = []
+    for i, j in combinations(range(4), 2):
+        a = tuple(map(sub, rel[j], rel[i]))
+        k, m = (x for x in range(4) if x not in (i, j))
+        g = _cross(tuple(map(sub, rel[k], rel[i])), a)
+        h = _cross(tuple(map(sub, rel[m], rel[i])), a)
+        edges.append((*a, *iverts[i], *g, *h))
+    return edges
+
+
+def _facet_separates_2d(facets, points) -> bool:
+    # Some inward facet nu . x >= beta of one triangle has all three
+    # points on or beyond its line.
+    (x0, y0), (x1, y1), (x2, y2) = points
+    for (a, b), beta in facets:
+        if a * x0 + b * y0 <= beta and a * x1 + b * y1 <= beta and a * x2 + b * y2 <= beta:
+            return True
+    return False
+
+
+def _facet_slacks_3d(facets, points) -> list[tuple[int, int, int, int]]:
+    # Row f, column j: nu_f . p_j - beta_f, the side of facet f of one
+    # simplex on which vertex j of the other lies (> 0 strictly inside).
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = points
+    return [
+        (
+            a * x0 + b * y0 + c * z0 - beta,
+            a * x1 + b * y1 + c * z1 - beta,
+            a * x2 + b * y2 + c * z2 - beta,
+            a * x3 + b * y3 + c * z3 - beta,
+        )
+        for (a, b, c), beta in facets
+    ]
+
+
+def _separated(first, second) -> bool:
+    """Whether two annotated placements have disjoint interiors, exactly.
+
+    Integer separating-axis test: two full-dimensional convex polytopes
+    have disjoint interiors iff a facet normal u of their Minkowski
+    difference weakly separates them, max(A . u) <= min(B . u) or the
+    reverse.  Those normals are the facet normals of either simplex and,
+    in dimension 3, the cross products u = a x d of an edge a of A and an
+    edge d of B such that A meets the plane through a with normal u only
+    in a, and B the plane through d only in d, from opposite sides.  The
+    candidates run from cheap to dear: the coordinate axes (bounding
+    boxes, complete in dimension 1), the stored facets (complete in
+    dimension 2); in dimension 3 a vertex or centroid of one simplex
+    strictly inside the other then proves overlap before the 36 edge
+    pairs are tried.  Raises ValueError in dimension 4 or more, where
+    mixed faces of higher dimension also give normals.
+    """
+    v1, box1, f1, e1, _ = first
+    v2, box2, f2, e2, _ = second
+    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
+        if hi1 <= lo2 or hi2 <= lo1:
+            return True
+    n = len(box1)
+    if n == 1:
+        return False
+    if n == 2:
+        return _facet_separates_2d(f1, v2) or _facet_separates_2d(f2, v1)
+    if n > 3:
+        raise ValueError(f"the separating-axis test covers dimension <= 3, not {n}")
+    slacks = (_facet_slacks_3d(f1, v2), _facet_slacks_3d(f2, v1))
+    for rows in slacks:
+        for row in rows:
+            if max(row) <= 0:
+                return True
+    for rows in slacks:
+        # A vertex, or the centroid (the column sum), strictly inside.
+        if max(map(min, zip(*rows))) > 0 or min(map(sum, rows)) > 0:
+            return False
+    for a0, a1, a2, px, py, pz, g0, g1, g2, h0, h1, h2 in e1:
+        for d0, d1, d2, qx, qy, qz, k0, k1, k2, m0, m1, m2 in e2:
+            # u = a x d is a facet normal of A - B only if both vertices
+            # of A off a lie strictly on one side of the plane through a
+            # and both of B's off d strictly on the other side.  A zero
+            # puts a facet of A or B in the plane, which the facet step
+            # has tried; a x d = 0 makes every product zero.
+            s = d0 * g0 + d1 * g1 + d2 * g2
+            t = d0 * h0 + d1 * h1 + d2 * h2
+            if s * t <= 0:
+                continue
+            side = 1 if s > 0 else -1  # A lies in side * u . (x - p) >= 0
+            # For B, side * u . w < 0 with u . w = -(a . (w x d)).
+            if side * (a0 * k0 + a1 * k1 + a2 * k2) <= 0:
+                continue
+            if side * (a0 * m0 + a1 * m1 + a2 * m2) <= 0:
+                continue
+            u0 = a1 * d2 - a2 * d1
+            u1 = a2 * d0 - a0 * d2
+            u2 = a0 * d1 - a1 * d0
+            if side * (u0 * (px - qx) + u1 * (py - qy) + u2 * (pz - qz)) >= 0:
+                return True
+    return False
 
 
 def _build_simplex(entry) -> SimplexImage:
@@ -347,33 +468,17 @@ def _build_simplex(entry) -> SimplexImage:
 
 
 def _find_disjoint_pair(first, second, same_list: bool):
-    """First pair (lex order) with provably disjoint interiors, or None."""
-    budget = _LP_BUDGET
-    k = len(first[0][0]) if first else 0  # n + 1 vertices per simplex
-    for i, (v1, b1, f1, c1, _) in enumerate(first):
+    """First pair (lex order) with disjoint interiors, or None.
+
+    Every pair is decided exactly by the integer separating-axis test
+    `_separated`, so None means that no pair of the two lists packs; the
+    rational LP of `interiors_disjoint` is left to the verifier.
+    """
+    for i, entry1 in enumerate(first):
         start = i + 1 if same_list else 0
         for entry2 in second[start:]:
-            v2, b2, f2, c2, _ = entry2
-            if any(
-                hi1 <= lo2 or hi2 <= lo1
-                for (lo1, hi1), (lo2, hi2) in zip(b1, b2)
-            ):
-                return _build_simplex(first[i]), _build_simplex(entry2)
-            complete = len(f1) == len(v1) and len(f2) == len(v2)
-            if complete and (
-                any(_strictly_inside(p, f1) for p in v2)
-                or any(_strictly_inside(p, f2) for p in v1)
-                or _strictly_inside(c2, f1, k)
-                or _strictly_inside(c1, f2, k)
-            ):
-                continue  # witnessed overlap
-            if budget <= 0:
-                continue
-            budget -= 1
-            s1 = _build_simplex(first[i])
-            s2 = _build_simplex(entry2)
-            if interiors_disjoint(s1, s2):
-                return s1, s2
+            if _separated(entry1, entry2):
+                return _build_simplex(entry1), _build_simplex(entry2)
     return None
 
 

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcap import packing, serialize
+from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -186,6 +192,32 @@ def _null_capacity(data):
     data["simplices"][0]["capacity"] = None
 
 
+def _infinite_translation(data):
+    data["simplices"][0]["transform"]["translation"] = ["inf", "0"]
+
+
+def _infinite_normal(data):
+    data["domain"] = {
+        "kind": "polytope",
+        "halfspaces": [
+            {"normal": [-1, 0], "offset": "0"},
+            {"normal": [0, -1], "offset": "0"},
+            {"normal": ["inf", 1], "offset": "2"},
+        ],
+    }
+
+
+def _infinite_offset(data):
+    data["domain"] = {
+        "kind": "polytope",
+        "halfspaces": [
+            {"normal": [-1, 0], "offset": "0"},
+            {"normal": [0, -1], "offset": "0"},
+            {"normal": [1, 1], "offset": "inf"},
+        ],
+    }
+
+
 def _unbounded_domain(data):
     data["domain"] = {"kind": "polytope", "halfspaces": [{"normal": [1, 1], "offset": "100"}]}
 
@@ -213,6 +245,9 @@ def _empty_domain(data):
         _unsorted_params,
         _short_translation,
         _null_capacity,
+        _infinite_translation,
+        _infinite_normal,
+        _infinite_offset,
         _unbounded_domain,
         _empty_domain,
     ],
@@ -225,6 +260,82 @@ def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):
     path.write_text(json.dumps(data))
     assert run(["check", str(path)]) == EXIT_PARSE
     assert capsys.readouterr().out == ""
+
+
+def _valid_certificates():
+    """Certificates in a 2-D ellipsoid, a 3-D polydisk and a polygon domain."""
+    certificates = [
+        serialize.certificate_to_json(packing.canonical_certificate(domain, F(1, 100)))
+        for domain in (ellipsoid(1, 2), polydisk(1, 1, 2))
+    ]
+    polygon = json.loads(json.dumps(certificates[0]))
+    polygon["domain"] = {
+        "kind": "polytope",
+        **serialize.polytope_to_json(moment_polytope(ellipsoid(1, 2))),
+    }
+    return certificates + [polygon]
+
+
+_VALID_CERTIFICATES = _valid_certificates()
+_KEYS = [
+    "kind", "params", "halfspaces", "normal", "offset", "simplices", "capacity",
+    "transform", "matrix", "translation", "total", "domain", "vertices",
+]
+_LITERALS = ["0", "1", "-1", "1/2", "2/0", "inf", "nan", "x", "", "polytope", "ellipsoid"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.sampled_from(_LITERALS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _nodes(node, path=()):
+    """Every (path, value) of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _mutated_certificates(draw):
+    data = json.loads(json.dumps(draw(st.sampled_from(_VALID_CERTIFICATES))))
+    for _ in range(draw(st.integers(1, 3))):
+        path, _ = draw(st.sampled_from(list(_nodes(data))))
+        if not path:
+            data = draw(_JSON_VALUES)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(parent[path[-1]])
+        else:
+            parent[path[-1]] = [parent[path[-1]]] * 2
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_certificates())
+def test_check_fuzzed_certificates_exit_cleanly(data):
+    # Every certificate file gets a verdict or a documented error code.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["check", str(path)])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_spectrum_text_and_csv(capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcap.exactgeom import (
     Polytope,
@@ -11,6 +13,8 @@ from symcap.exactgeom import (
     contains,
     ellipsoid,
     int_det,
+    interiors_disjoint,
+    inward_facets,
     moment_polytope,
     polydisk,
     polytope_domain,
@@ -18,7 +22,11 @@ from symcap.exactgeom import (
 from symcap.packing import (
     PackingCertificate,
     SearchConfig,
+    _annotate,
+    _build_simplex,
     _contained_placements,
+    _find_disjoint_pair,
+    _separated,
     _unimodular_matrices,
     canonical_certificate,
     search_two_balls,
@@ -135,6 +143,44 @@ def test_search_on_general_polytope():
     assert verify_certificate(cert)
 
 
+_ORTHANT = [((-1, 0), 0), ((0, -1), 0)]
+
+
+@pytest.mark.parametrize(
+    "halfspaces,total,placements",
+    [
+        (
+            _ORTHANT + [((1, 1), 2)],
+            F(2),
+            ((((-2, -1), (1, 0)), (2, 0)), (((-1, -2), (1, 1)), (2, 0))),
+        ),
+        (
+            _ORTHANT + [((1, 2), 3), ((2, 1), 3)],
+            F(1023, 512),
+            ((((-1, -1), (0, -1)), (1, 1)), (((1, 1), (0, 1)), (0, 0))),
+        ),
+        (
+            _ORTHANT + [((3, 1), 6), ((1, 2), 6)],
+            F(3),
+            (
+                (((-1, -1), (0, -1)), (F(3, 2), F(3, 2))),
+                (((-1, -1), (1, 0)), (F(3, 2), F(3, 2))),
+            ),
+        ),
+    ],
+    ids=["triangle", "quadrilateral", "wide-quadrilateral"],
+)
+def test_search_2d_certificates_are_pinned(halfspaces, total, placements):
+    # Found with the default configuration by the LP-based scan this search
+    # replaced; the separating-axis scan must find the same pairs.
+    domain = polytope_domain(Polytope.from_halfspaces(halfspaces))
+    cert = search_two_balls(domain, SearchConfig())
+    assert cert.total == total
+    assert [s.capacity for s in cert.simplices] == [total / 2, total / 2]
+    found = tuple((s.transform.matrix, s.transform.translation) for s in cert.simplices)
+    assert found == placements
+
+
 def test_search_dimension_cap():
     with pytest.raises(ValueError):
         search_two_balls(ellipsoid(1, 1, 1, 1, 1), SEARCH)
@@ -220,3 +266,119 @@ def test_search_config_validation():
         SearchConfig(translation_grid=0)
     with pytest.raises(ValueError):
         SearchConfig(bisection_tolerance=F(0))
+
+
+# ---------------------------------------------------------------------------
+# The search's separating-axis test
+# ---------------------------------------------------------------------------
+
+
+def _placement(n):
+    """A simplex image with SL_n(Z) entries in [-1, 1], a translation in
+    (1/2)Z within [-1, 1]^n (as halves) and a capacity in {1/2, 1, 3/2}."""
+    return st.tuples(
+        st.sampled_from(_unimodular_matrices(n, 1)),
+        st.tuples(*[st.integers(-2, 2)] * n),
+        st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+    )
+
+
+def _entry(placement):
+    matrix, tau, capacity = placement
+    (entry,) = _annotate([(matrix, tau)], 2, 2, capacity)
+    return entry
+
+
+# Separated only by the cross product of an edge of each.
+_EDGE_PAIR = (
+    (((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), (2, -2, -1), F(1)),
+    (((0, 1, 0), (0, -1, 1), (1, 0, 1)), (0, 1, -2), F(1)),
+)
+# Separated only by an edge pair, with a vertex of one on the other's boundary.
+_TOUCHING_EDGE_PAIR = (
+    (((0, -1, 1), (0, -1, 0), (1, 1, -1)), (-2, 2, -1), F(1)),
+    (((-1, -1, 0), (1, 1, -1), (0, -1, -1)), (-1, 0, -1), F(1, 2)),
+)
+# Touching along a facet plane of the first.
+_TOUCHING_FACET_PAIR = (
+    (((0, -1, 0), (1, 1, 0), (1, -1, 1)), (1, 0, -1), F(3, 2)),
+    (((0, 0, 1), (0, 1, 0), (-1, 0, -1)), (0, 0, 2), F(1, 2)),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    pair=st.integers(1, 3).flatmap(lambda n: st.tuples(_placement(n), _placement(n)))
+)
+@example(pair=_EDGE_PAIR)
+@example(pair=_TOUCHING_EDGE_PAIR)
+@example(pair=_TOUCHING_FACET_PAIR)
+def test_separating_axis_test_matches_interiors_disjoint(pair):
+    # Tight translations make overlapping and touching pairs common; in
+    # dimension 3 about 2 % of pairs are separated only by an edge pair.
+    first, second = (_entry(p) for p in pair)
+    expected = interiors_disjoint(_build_simplex(first), _build_simplex(second))
+    assert _separated(first, second) == expected
+    assert _separated(second, first) == expected
+
+
+def test_edge_pairs_separate_what_facets_cannot():
+    first, second = (_entry(p) for p in _EDGE_PAIR)
+    assert interiors_disjoint(_build_simplex(first), _build_simplex(second))
+    assert _separated(first, second) and _separated(second, first)
+    # Without the edge data only the boxes and the facets are tried.
+    no_edges = [entry[:3] + ((),) + entry[4:] for entry in (first, second)]
+    assert not _separated(*no_edges)
+
+
+def test_separating_axis_test_refuses_dimension_4():
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    first, second = _annotate([(identity, (0, 0, 0, 0))] * 2, 1, 1, F(1))
+    with pytest.raises(ValueError, match="dimension"):
+        _separated(first, second)
+
+
+def _has_point_strictly_inside(points, facets, weight=1):
+    return any(
+        all(sum(a * x for a, x in zip(nu, p)) > beta * weight for nu, beta in facets)
+        for p in points
+    )
+
+
+def test_scan_has_no_pair_budget():
+    # More than 200 placements overlap the capacity-2 triangle without a
+    # vertex or centroid of either simplex strictly inside the other; a scan
+    # that spent one LP on each such pair and stopped after 200 of them
+    # missed the disjoint placement listed after them.
+    identity = ((1, 0), (0, 1))
+    (triangle,) = _annotate([(identity, (0, 0))], 1, 1, F(2))
+    overlapping, disjoint = [], None
+    for matrix in _unimodular_matrices(2, 2):
+        for tau in product(range(-3, 4), repeat=2):
+            (entry,) = _annotate([(matrix, tau)], 1, 1, F(2))
+            if any(
+                hi1 <= lo2 or hi2 <= lo1
+                for (lo1, hi1), (lo2, hi2) in zip(triangle[1], entry[1])
+            ):
+                continue
+            vertices = [triangle[0], entry[0]]
+            facets = [inward_facets(v) for v in vertices]
+            centroids = [[tuple(map(sum, zip(*v)))] for v in vertices]
+            if (
+                _has_point_strictly_inside(vertices[1], facets[0])
+                or _has_point_strictly_inside(vertices[0], facets[1])
+                or _has_point_strictly_inside(centroids[1], facets[0], 3)
+                or _has_point_strictly_inside(centroids[0], facets[1], 3)
+            ):
+                continue
+            if not interiors_disjoint(_build_simplex(triangle), _build_simplex(entry)):
+                overlapping.append((matrix, tau))
+            elif len(overlapping) > 200:
+                disjoint = (matrix, tau)
+                break
+        if disjoint is not None:
+            break
+    assert disjoint is not None
+    second = _annotate(overlapping + [disjoint], 1, 1, F(2))
+    pair = _find_disjoint_pair([triangle], second, False)
+    assert pair == (_build_simplex(triangle), _build_simplex(second[-1]))
