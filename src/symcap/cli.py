@@ -31,16 +31,21 @@ class ParseFailure(ValueError):
     """Malformed command-line value (exit code 2)."""
 
 
+def parse_rational(text: str) -> Fraction | float:
+    """A "p/q" (or "inf") command-line value."""
+    try:
+        return rat(text)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
+
+
 def parse_domain(text: str) -> ToricDomain:
     kind, _, rest = text.partition(":")
     if kind not in (ELLIPSOID, POLYDISK) or not rest:
         raise ParseFailure(
             f"domain must look like 'ellipsoid:1,2,7' or 'polydisk:1,1', got {text!r}"
         )
-    try:
-        params = [rat(p) for p in rest.split(",")]
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    params = [parse_rational(p) for p in rest.split(",")]
     return ToricDomain(kind, tuple(sorted(params)))
 
 
@@ -54,10 +59,7 @@ def parse_profile_spec(text: str) -> tuple[str, dict]:
             key, eq, value = chunk.partition("=")
             if not eq or not key:
                 raise ParseFailure(f"bad profile parameter {chunk!r}")
-            try:
-                params[key] = rat(value)
-            except ValueError as exc:
-                raise ParseFailure(str(exc)) from exc
+            params[key] = parse_rational(value)
     return name, params
 
 
@@ -156,7 +158,7 @@ def _run_cap(args) -> str:
     if args.capacity == "gromov-width":
         if not args.simplex:
             raise ParseFailure("gromov-width needs --simplex a")
-        value = gromov_width_simplex_preimage(rat(args.simplex))
+        value = gromov_width_simplex_preimage(parse_rational(args.simplex))
     else:
         if not args.domain:
             raise ParseFailure("--domain is required for this capacity")
@@ -177,14 +179,14 @@ def _run_pack(args) -> str:
         config = SearchConfig(
             matrix_entry_bound=args.matrix_bound,
             translation_grid=args.grid,
-            bisection_tolerance=rat(args.tolerance),
+            bisection_tolerance=parse_rational(args.tolerance),
             equal_balls=not args.unequal,
         )
         certificate = search_two_balls(domain, config)
         if certificate is None:
             raise ValueError("search found no verified placement")
     else:
-        certificate = canonical_certificate(domain, rat(args.epsilon))
+        certificate = canonical_certificate(domain, parse_rational(args.epsilon))
     if args.json or (args.out and args.out.endswith(".json")):
         return serialize.dumps(serialize.certificate_to_json(certificate))
     return (
@@ -240,7 +242,8 @@ def _run_plot(args) -> str:
     if sum(chosen) != 1:
         raise ParseFailure("plot needs exactly one of --domain, --profile, --deformation")
     if args.domain:
-        certificate = canonical_certificate(parse_domain(args.domain), rat(args.epsilon))
+        domain = parse_domain(args.domain)
+        certificate = canonical_certificate(domain, parse_rational(args.epsilon))
         return render_packing(certificate)
     if args.profile:
         return render_profile(_build_system(args))
@@ -249,7 +252,9 @@ def _run_plot(args) -> str:
     if missing:
         raise ParseFailure(f"deformation spec missing {sorted(missing)}")
     return render_deformation(
-        rat(pairs["a"]), rat(pairs["eps"]), [rat(v) for v in pairs["s"].split(";")]
+        parse_rational(pairs["a"]),
+        parse_rational(pairs["eps"]),
+        [parse_rational(v) for v in pairs["s"].split(";")],
     )
 
 

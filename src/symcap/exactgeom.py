@@ -146,17 +146,15 @@ class SpecialAffineTransform:
         return SpecialAffineTransform(matrix, translation)
 
     def inverse(self) -> "SpecialAffineTransform":
-        # The adjugate of an SL_n(Z) matrix is its integer inverse.
-        n = self.dimension
-        inv = []
-        for i in range(n):
-            inv_row = []
-            for j in range(n):
-                minor = [row[:i] + row[i + 1 :] for r, row in enumerate(self.matrix) if r != j]
-                sign = -1 if (i + j) % 2 else 1
-                inv_row.append(sign * int_det(minor))
-            inv.append(tuple(inv_row))
-        matrix = tuple(inv)
+        # The adjugate of an SL_n(Z) matrix is its integer inverse.  Its
+        # column j is the cofactor vector of the other rows, signed by the
+        # n - 1 - j swaps that move row j to the bottom.
+        n, rows = self.dimension, self.matrix
+        columns = [
+            [(-1) ** (n - 1 - j) * c for c in cofactor_vector(rows[:j] + rows[j + 1 :])]
+            for j in range(n)
+        ]
+        matrix = tuple(zip(*columns))
         translation = tuple(
             -sum((m * t for m, t in zip(row, self.translation)), Fraction(0))
             for row in matrix
@@ -228,8 +226,8 @@ class Polytope:
             [(nu, beta * factor) for nu, beta in self.constraints]
         )
 
-    def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact per-axis extents: the coordinate ranges of the vertices.
+    def vertices(self) -> list[Vector]:
+        """The distinct vertices, each found once, in a fixed order.
 
         Works on integers, with the offsets scaled by the lcm of their
         denominators.  The polytope is bounded iff its recession cone
@@ -249,7 +247,7 @@ class Polytope:
                 raise ValueError("polytope is unbounded")
         scale = math.lcm(*[beta.denominator for _, beta in self.constraints])
         rows = [(nu, int(beta * scale)) for nu, beta in self.constraints]
-        vertices = []
+        vertices = {}
         for tight in combinations(rows, n):
             det = int_det([nu for nu, _ in tight])
             if det == 0:
@@ -260,13 +258,17 @@ class Polytope:
             if det < 0:
                 det, point = -det, [-x for x in point]
             if all(_dot(nu, point) <= det * b for nu, b in rows):
-                vertices.append([Fraction(x, det * scale) for x in point])
+                vertices[tuple(Fraction(x, det * scale) for x in point)] = None
         if not vertices:
             raise ValueError("polytope is empty or unbounded")
-        return [
-            (min(v[axis] for v in vertices), max(v[axis] for v in vertices))
-            for axis in range(n)
-        ]
+        return list(vertices)
+
+    def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
+        """Exact per-axis extents: the coordinate ranges of the vertices.
+
+        Raises ValueError when the polytope is empty or unbounded.
+        """
+        return [(min(axis), max(axis)) for axis in zip(*self.vertices())]
 
 
 # ---------------------------------------------------------------------------

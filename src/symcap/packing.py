@@ -66,15 +66,18 @@ class SearchConfig:
     Matrix entries range over [-B, B]; translations run on a grid of
     step 1/q over the polytope's bounding box.  When ``equal_balls`` is
     false the search also probes the coarse unequal splits (t/3, 2t/3)
-    and (t/4, 3t/4) of each candidate total.  The SL_n(Z) enumeration
-    walks (2B+1)^(n^2-1) integer tuples, and a search that would walk
-    more than ENUMERATION_BUDGET of them is refused: the budget admits
-    B = 2 in dimension 3 and B <= 49 in dimension 2, and no search in
-    dimension 4 or more.  Each probe keeps the first and last 80 grid
-    placements of each capacity and decides every pair of them exactly
-    with the integer separating-axis test, so a failed probe is a
-    complete scan of those placements; that trim is the search's only
-    truncation.
+    and (t/4, 3t/4) of each candidate total.  The bisection on the total
+    starts from a proven ceiling: the closed-form c_2B for ellipsoids and
+    polydisks, twice the least width of the bounding box for other
+    polytopes (see `search_two_balls`).  The SL_n(Z) enumeration walks
+    (2B+1)^(n^2-1) integer tuples, and a search that would walk more than
+    ENUMERATION_BUDGET of them is refused: the budget admits B = 2 in
+    dimension 3 and B <= 49 in dimension 2, and no search in dimension 4
+    or more.  Each probe keeps the first and last 80 grid placements of
+    each capacity and decides every pair of them exactly with the integer
+    separating-axis test, so a failed probe is a complete scan of those
+    placements; that trim is the search's only truncation.  The returned
+    certificate is checked once, by `verify_certificate`.
     """
 
     matrix_entry_bound: int = 2
@@ -223,30 +226,26 @@ def _contained_placements(
     capacity: Fraction,
     matrices,
     q: int,
-) -> tuple[list, int]:
+    scale: int,
+) -> list:
     """All grid placements of a capacity-`capacity` simplex inside the
-    polytope, as raw (matrix, scaled-translation) pairs in lexicographic
-    order, together with the integer scale of the translations.
+    polytope, as raw (matrix, translation * scale) pairs in lexicographic
+    order; `scale` is a common multiple of q and of the denominators of the
+    offsets, the box and the capacity.
 
-    Works in integer arithmetic over a common denominator: containment of
-    g = (M, tau) reduces to nu . tau <= beta - max_j nu . (c M e_j) per
-    halfspace, which is linear in tau.
+    Works in integer arithmetic: containment of g = (M, tau) reduces to
+    nu . tau <= beta - max_j nu . (c M e_j) per halfspace, which is linear
+    in tau.  Empty when c exceeds the box's least width (see
+    `search_two_balls`).
     """
     n = polytope.dimension
-    denominators = [q, capacity.denominator]
-    denominators += [beta.denominator for _, beta in polytope.constraints]
-    for lo, hi in box:
-        denominators += [lo.denominator, hi.denominator]
-    scale = math.lcm(*denominators)
     step = scale // q
     c_scaled = int(capacity * scale)
     widths = [int((hi - lo) * scale) for lo, hi in box]
+    if not 0 < c_scaled <= min(widths):
+        return []
 
-    axis_ranges = []
-    for (lo, _), width in zip(box, widths):
-        start = int(lo * scale)
-        count = width // step  # number of whole grid steps in the width
-        axis_ranges.append(range(start, start + count * step + 1, step))
+    axis_ranges = [range(int(lo * scale), int(hi * scale) + 1, step) for lo, hi in box]
 
     normals = [nu for nu, _ in polytope.constraints]
     betas = [int(beta * scale) for _, beta in polytope.constraints]
@@ -299,7 +298,7 @@ def _contained_placements(
                     k1 = (hi_t - last_lo) // step
                     taus += [(*prefix, last_lo + k * step) for k in range(k0, k1 + 1)]
         placements += [(matrix, tau) for tau in taus]
-    return placements, scale
+    return placements
 
 
 # Deterministic work cap so that infeasible probe totals fail fast: a probe
@@ -317,24 +316,19 @@ def _trim(placements: list) -> list:
     return placements[:_PLACEMENT_CAP] + placements[-_PLACEMENT_CAP:]
 
 
-def _annotate(placements, scale: int, common: int, capacity: Fraction):
-    """Precompute integer scan data per placement at the shared scale
-    `common`: vertices, bounding box, inward facet halfspaces and, in
-    dimension 3, the edge data of `_edge_planes`.  The expensive exact
-    objects are built lazily via the trailing (capacity, matrix, tau,
-    scale) tuple.
+def _annotate(placements, scale: int, capacity: Fraction):
+    """Precompute integer scan data per placement at the shared `scale`:
+    vertices, bounding box, inward facet halfspaces and, in dimension 3,
+    the edge data of `_edge_planes`.  The expensive exact objects are
+    built lazily via the trailing (capacity, matrix, tau, scale) tuple.
     """
-    factor = common // scale
+    c_int = int(capacity * scale)
     entries = []
     for matrix, tau in placements:
         n = len(tau)
-        c_int = int(capacity * common)
-        base = tuple(t * factor for t in tau)
-        iverts = [base]
+        iverts = [tau]
         for j in range(n):
-            iverts.append(
-                tuple(base[i] + c_int * matrix[i][j] for i in range(n))
-            )
+            iverts.append(tuple(tau[i] + c_int * matrix[i][j] for i in range(n)))
         bbox = tuple(
             (min(v[i] for v in iverts), max(v[i] for v in iverts)) for i in range(n)
         )
@@ -467,16 +461,16 @@ def _build_simplex(entry) -> SimplexImage:
     return SimplexImage(capacity, g)
 
 
-def _find_disjoint_pair(first, second, same_list: bool):
-    """First pair (lex order) with disjoint interiors, or None.
+def _find_disjoint_pair(first, second):
+    """First pair (lex order) with disjoint interiors, or None; when
+    `second` is `first`, only pairs of two distinct entries count.
 
     Every pair is decided exactly by the integer separating-axis test
     `_separated`, so None means that no pair of the two lists packs; the
     rational LP of `interiors_disjoint` is left to the verifier.
     """
     for i, entry1 in enumerate(first):
-        start = i + 1 if same_list else 0
-        for entry2 in second[start:]:
+        for entry2 in second[i + 1 :] if first is second else second:
             if _separated(entry1, entry2):
                 return _build_simplex(entry1), _build_simplex(entry2)
     return None
@@ -485,80 +479,60 @@ def _find_disjoint_pair(first, second, same_list: bool):
 def search_two_balls(
     domain: ToricDomain, config: SearchConfig
 ) -> PackingCertificate | None:
-    """Bisection on the packed total; returns the best verified certificate,
-    or None when no placement verifies at any probed total."""
+    """Bisection on the packed total below a proven ceiling.
+
+    Returns the best certificate found, after one call of
+    `verify_certificate` on it, or None when no probed total packs.  No
+    SL_n(Z) matrix has a zero row, so a simplex image of capacity c spans
+    at least c along every axis: no placement has a capacity above the
+    least width w of the bounding box, and no total above 2w packs.  The
+    ceiling is the closed-form c_2B (at most 2w) for ellipsoids and
+    polydisks and 2w for other polytopes.  A probe that packs at the
+    ceiling ends the search; otherwise it bisects on [0, ceiling].
+    """
     polytope = moment_polytope(domain)
     # Refuses a too-large enumeration before doing any of it.
     matrices = _unimodular_matrices(polytope.dimension, config.matrix_entry_bound)
     box = polytope.bounding_box()  # raises for unbounded input
-    eps = rat(config.bisection_tolerance)
-
+    q = config.translation_grid
+    # A split's scale is the lcm of q, these and its two capacities'
+    # denominators, so that both placement lists share one integer grid.
+    denominators = [beta.denominator for _, beta in polytope.constraints]
+    denominators += [x.denominator for side in box for x in side]
     try:
         ceiling = c2b_closed_form(domain).value
-        provable_ceiling = True
-    except ValueError:
+    except ValueError:  # no closed form for a general polytope
         ceiling = 2 * min(hi - lo for lo, hi in box)
-        provable_ceiling = False
+
+    def scan_data(capacity: Fraction, scale: int) -> list:
+        raw = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        return _annotate(_trim(raw), scale, capacity)
 
     def probe(total: Fraction) -> PackingCertificate | None:
         splits = [(total / 2, total / 2)]
         if not config.equal_balls:
             splits += [(total / 3, 2 * total / 3), (total / 4, 3 * total / 4)]
         for cap_a, cap_b in splits:
-            if cap_a <= 0:
+            scale = math.lcm(q, *denominators, cap_a.denominator, cap_b.denominator)
+            first = scan_data(cap_a, scale)
+            if not first:
                 continue
-            raw_a, scale_a = _contained_placements(
-                polytope, box, cap_a, matrices, config.translation_grid
-            )
-            if not raw_a:
-                continue
-            same = cap_a == cap_b
-            if same:
-                common = math.lcm(scale_a, cap_a.denominator)
-                entries_a = _annotate(_trim(raw_a), scale_a, common, cap_a)
-                entries_b = entries_a
-            else:
-                raw_b, scale_b = _contained_placements(
-                    polytope, box, cap_b, matrices, config.translation_grid
-                )
-                common = math.lcm(
-                    scale_a, scale_b, cap_a.denominator, cap_b.denominator
-                )
-                entries_a = _annotate(_trim(raw_a), scale_a, common, cap_a)
-                entries_b = _annotate(_trim(raw_b), scale_b, common, cap_b)
-            pair = _find_disjoint_pair(entries_a, entries_b, same)
+            second = first if cap_b == cap_a else scan_data(cap_b, scale)
+            pair = _find_disjoint_pair(first, second)
             if pair is not None:
-                certificate = PackingCertificate(pair, domain, cap_a + cap_b)
-                if not verify_certificate(certificate):
-                    raise AssertionError("search certificate failed verification")
-                return certificate
+                return PackingCertificate(pair, domain, total)
         return None
 
     best = probe(ceiling)
-    if best is not None and provable_ceiling:
-        return best
-    if best is not None:
-        # Heuristic ceiling turned out reachable: climb until a probe
-        # fails, then bisect the remaining gap.
-        high = 2 * best.total
-        for _ in range(10):
-            trial = probe(high)
-            if trial is None:
-                break
-            best = trial
-            high = 2 * high
-        else:
-            return best
-        low = best.total
-    else:
-        low = Fraction(0)
-        high = ceiling
-    while high - low > eps:
-        mid = (low + high) / 2
-        cert = probe(mid)
-        if cert is not None:
-            best = cert
-            low = mid
-        else:
-            high = mid
+    if best is None:
+        low, high = Fraction(0), ceiling
+        while high - low > rat(config.bisection_tolerance):
+            mid = (low + high) / 2
+            certificate = probe(mid)
+            if certificate is None:
+                high = mid
+            else:
+                best, low = certificate, mid
+    if best is not None and not verify_certificate(best):
+        raise AssertionError("search certificate failed verification")
     return best

@@ -8,10 +8,11 @@ path data is emitted; text labels that show a decimal carry a leading
 from __future__ import annotations
 
 from fractions import Fraction
+from math import atan2
 
-from .exactgeom import Polytope, moment_polytope, simplex_vertices
+from .exactgeom import Polytope, Vector, moment_polytope, simplex_vertices
 from .packing import PackingCertificate, verify_certificate
-from .profiles import RadialProfile, TwoBallSystem, poly_derivative, poly_eval, t_s
+from .profiles import RadialProfile, TwoBallSystem, poly_derivative, t_s
 from .rationals import fmt, rat
 from .spectra import find_orbits
 
@@ -60,29 +61,15 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _polygon_vertices_2d(polytope: Polytope) -> list[tuple[Fraction, Fraction]]:
+def _polygon_vertices_2d(polytope: Polytope) -> list[Vector]:
     """Vertices of a bounded 2-d polytope, counterclockwise."""
     if polytope.dimension != 2:
         raise ValueError("SVG rendering supports dimension 2 only")
-    cons = polytope.constraints
-    points = set()
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            (a1, b1), c1 = cons[i][0], cons[i][1]
-            (a2, b2), c2 = cons[j][0], cons[j][1]
-            det = Fraction(a1 * b2 - a2 * b1)
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if polytope.contains_point((x, y)):
-                points.add((x, y))
+    points = polytope.vertices()
     if len(points) < 3:
         raise ValueError("polytope has no 2-d interior to draw")
     cx = sum(p[0] for p in points) / len(points)
     cy = sum(p[1] for p in points) / len(points)
-    from math import atan2
-
     return sorted(points, key=lambda p: atan2(float(p[1] - cy), float(p[0] - cx)))
 
 
@@ -117,15 +104,6 @@ def _profile_window(profile: RadialProfile) -> Fraction:
     return last.lo + max(Fraction(1), last.lo)
 
 
-def _sample_curve(profile: RadialProfile, r_max: Fraction, frame: _Frame) -> str:
-    steps = 160
-    points = []
-    for i in range(steps + 1):
-        r = r_max * Fraction(i, steps)
-        points.append(frame.pt(r, profile.value(r)))
-    return " ".join(points)
-
-
 def render_profile(profile: RadialProfile | TwoBallSystem) -> str:
     """Profile graph with the tangent line of each orbit, whose intercept
     at r = 0 is the orbit action."""
@@ -134,13 +112,11 @@ def render_profile(profile: RadialProfile | TwoBallSystem) -> str:
     else:
         parts = [profile]
     r_max = max(_profile_window(p) for p in parts)
-    values = []
-    for p in parts:
-        for i in range(161):
-            values.append(p.value(r_max * Fraction(i, 160)))
-    for p in parts:
-        for orbit in find_orbits(p):
-            values.append(orbit.action)
+    radii = [r_max * Fraction(i, 160) for i in range(161)]
+    curves = [[(r, p.value(r)) for r in radii] for p in parts]
+    orbits = [find_orbits(p) for p in parts]
+    values = [v for curve in curves for _, v in curve]
+    values += [orbit.action for found in orbits for orbit in found]
     y_lo, y_hi = min(values), max(values)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1, y_hi + 1
@@ -156,9 +132,10 @@ def render_profile(profile: RadialProfile | TwoBallSystem) -> str:
         f'y2="{_HEIGHT - _MARGIN}" {_AXIS_STYLE}/>'
     )
     labels = []
-    for p in parts:
-        body.append(f'<polyline points="{_sample_curve(p, r_max, frame)}" {_CURVE_STYLE}/>')
-        for orbit in find_orbits(p):
+    for p, curve, found in zip(parts, curves, orbits):
+        points = " ".join(frame.pt(r, v) for r, v in curve)
+        body.append(f'<polyline points="{points}" {_CURVE_STYLE}/>')
+        for orbit in found:
             if orbit.radius is not None:
                 r = orbit.radius
             elif orbit.interval is not None:

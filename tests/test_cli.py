@@ -379,6 +379,23 @@ def test_plot_outputs_svg(capsys):
     assert capsys.readouterr().out.startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["--domain", "ellipsoid:1,2"], "plot_ellipsoid_1_2.svg"),
+        (["--domain", "polydisk:1,3"], "plot_polydisk_1_3.svg"),
+        (
+            ["--profile", "two_ball:a=1,b=1,eta=9/10,mu=4/5,delta=1/100"],
+            "plot_profile_two_ball.svg",
+        ),
+    ],
+)
+def test_plot_golden_bytes(argv, golden, capsys):
+    assert run(["plot", *argv]) == EXIT_OK
+    path = Path(__file__).parent / "data" / golden
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 def test_plot_requires_exactly_one_target():
     assert run(["plot"]) == EXIT_PARSE
     assert (
@@ -397,6 +414,30 @@ def test_parse_errors_exit_2(capsys):
     assert run(["spectrum", "--profile", "bump:a=1", "--recap", "-1"]) == EXIT_PARSE
     assert run(["bogus-verb"]) == EXIT_PARSE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack", "--domain", "ellipsoid:1,2", "--epsilon", "abc"],
+        ["pack", "--domain", "ellipsoid:1,2", "--search", "--tolerance", "1/0"],
+        ["cap", "--capacity", "gromov-width", "--simplex", "3/"],
+        ["plot", "--domain", "ellipsoid:1,2", "--epsilon", "1/x"],
+        ["plot", "--deformation", "a=x,eps=1/10,s=0;1"],
+        ["plot", "--deformation", "a=1/2,eps=1/10,s=0;;1"],
+    ],
+    ids=[
+        "pack-epsilon",
+        "search-tolerance",
+        "simplex",
+        "plot-epsilon",
+        "deformation-a",
+        "deformation-s",
+    ],
+)
+def test_malformed_rationals_exit_2(argv, capsys):
+    assert run(argv) == EXIT_PARSE
+    assert "not a rational literal" in capsys.readouterr().err
 
 
 def test_precondition_errors_exit_3(capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +67,17 @@ def test_group_laws(m1, t1, m2, t2):
     product = g1.compose(g2)  # determinant +1 is checked on construction
     assert product.compose(product.inverse()) == SpecialAffineTransform.identity(2)
     assert g1.inverse().compose(g1) == SpecialAffineTransform.identity(2)
+
+
+def test_inverse_in_three_dimensions():
+    identity = SpecialAffineTransform.identity(3)
+    for flat in product(range(-1, 2), repeat=9):
+        matrix = (flat[0:3], flat[3:6], flat[6:9])
+        if int_det(matrix) != 1:
+            continue
+        g = SpecialAffineTransform(matrix, (F(1, 2), F(-2), F(3, 7)))
+        assert g.compose(g.inverse()) == identity
+        assert g.inverse().compose(g) == identity
 
 
 def leibniz_det(matrix) -> Fraction:
@@ -267,6 +278,24 @@ def test_bounding_box():
     ]
     with pytest.raises(ValueError):
         moment_polytope(ellipsoid(1, "inf")).bounding_box()
+
+
+def test_vertices_are_distinct():
+    # Three facets meet at (2, 0) and four at (0, 0) and (0, 2): each is
+    # the solution of several tight pairs but is listed once.
+    polytope = Polytope.from_halfspaces(
+        [
+            ((-1, 0), 0),
+            ((0, -1), 0),
+            ((1, 1), 2),
+            ((1, 0), 2),
+            ((-1, -1), 0),
+            ((-1, 1), 2),
+        ]
+    )
+    assert sorted(polytope.vertices()) == [(0, 0), (0, 2), (2, 0)]
+    box = moment_polytope(polydisk(1, 2, 3))
+    assert sorted(box.vertices()) == list(product((0, 1), (0, 2), (0, 3)))
 
 
 def _lp_bounding_box(polytope):

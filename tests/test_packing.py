@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,7 @@ from symcap.exactgeom import (
     polydisk,
     polytope_domain,
 )
+from symcap import packing
 from symcap.packing import (
     PackingCertificate,
     SearchConfig,
@@ -181,6 +183,47 @@ def test_search_2d_certificates_are_pinned(halfspaces, total, placements):
     assert found == placements
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(packing, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(packing, name, counted)
+    return calls
+
+
+_RECTANGLE = polytope_domain(Polytope.from_halfspaces(_ORTHANT + [((1, 0), 1), ((0, 1), 2)]))
+
+
+@pytest.mark.parametrize("equal_balls", [True, False])
+def test_search_stops_at_a_reachable_ceiling(equal_balls, monkeypatch):
+    # The rectangle's least width is 1, so no total above 2 packs; the
+    # search packs 2 at once and stops there, on either split setting.
+    calls = _count_calls(monkeypatch, "_contained_placements")
+    cert = search_two_balls(_RECTANGLE, SearchConfig(equal_balls=equal_balls))
+    assert len(calls) == 1
+    found = tuple((s.transform.matrix, s.transform.translation) for s in cert.simplices)
+    assert cert.total == 2
+    assert found == ((((-1, -1), (-1, -2)), (1, 2)), (((-1, -1), (0, -1)), (1, 2)))
+
+
+def test_search_verifies_its_certificate_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "verify_certificate")
+    domain = polytope_domain(Polytope.from_halfspaces(_ORTHANT + [((1, 2), 3), ((2, 1), 3)]))
+    cert = search_two_balls(domain, SearchConfig())
+    assert cert.total == F(1023, 512)
+    assert calls == [(cert,)]
+
+
+def test_search_on_flat_polytope_finds_nothing():
+    # The segment {0} x [0, 1] has least width 0: no simplex fits.
+    flat = Polytope.from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+    assert search_two_balls(polytope_domain(flat), SEARCH) is None
+
+
 def test_search_dimension_cap():
     with pytest.raises(ValueError):
         search_two_balls(ellipsoid(1, 1, 1, 1, 1), SEARCH)
@@ -217,6 +260,14 @@ def test_enumeration_budget_refuses_up_front(n, bound):
         _unimodular_matrices(n, bound)
 
 
+def _scale(polytope, box, q, *capacities):
+    """The least scale that makes the grid, the offsets, the box and the
+    simplex vertices integral."""
+    offsets = [beta for _, beta in polytope.constraints]
+    values = [*offsets, *(x for side in box for x in side), *capacities]
+    return math.lcm(q, *(x.denominator for x in values))
+
+
 def _grid(box, q):
     """Every translation lo + k/q inside the box, per axis."""
     axes = [
@@ -248,7 +299,8 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
     if polytope.dimension == 3:
         matrices = matrices[::37]  # a spread-out sample keeps the test fast
     for capacity in capacities:
-        placements, scale = _contained_placements(polytope, box, capacity, matrices, q)
+        scale = _scale(polytope, box, q, capacity)
+        placements = _contained_placements(polytope, box, capacity, matrices, q, scale)
         found = {}
         for matrix, tau in placements:
             found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
@@ -257,6 +309,38 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
             for tau in _grid(box, q):
                 simplex = SimplexImage(capacity, SpecialAffineTransform(matrix, tau))
                 assert contains(polytope, simplex) == (tau in taus)
+
+
+@pytest.mark.parametrize(
+    "domain,capacity,expected",
+    [
+        (ellipsoid(1, 2), F(1), True),  # least width 1
+        (ellipsoid(1, 2), F(21, 20), False),
+        (ellipsoid(1, 2), F(0), False),
+        (polydisk(1, 1, 2), F(1), True),
+        (polydisk(1, 1, 2), F(3, 2), False),
+    ],
+)
+def test_contained_placements_empty_above_least_width(domain, capacity, expected):
+    polytope = moment_polytope(domain)
+    box = polytope.bounding_box()
+    matrices = _unimodular_matrices(polytope.dimension, 1)
+    scale = _scale(polytope, box, 4, capacity)
+    placements = _contained_placements(polytope, box, capacity, matrices, 4, scale)
+    assert isinstance(placements, list)
+    assert bool(placements) == expected
+
+
+def test_contained_placements_ignore_a_larger_scale():
+    # A multiple of the least scale gives the same placements, scaled.
+    polytope = _QUADRILATERAL
+    box = polytope.bounding_box()
+    matrices = _unimodular_matrices(2, 2)
+    scale = _scale(polytope, box, 4, F(1, 3))
+    small = _contained_placements(polytope, box, F(1, 3), matrices, 4, scale)
+    large = _contained_placements(polytope, box, F(1, 3), matrices, 4, 6 * scale)
+    assert small
+    assert large == [(m, tuple(6 * t for t in tau)) for m, tau in small]
 
 
 def test_search_config_validation():
@@ -285,7 +369,7 @@ def _placement(n):
 
 def _entry(placement):
     matrix, tau, capacity = placement
-    (entry,) = _annotate([(matrix, tau)], 2, 2, capacity)
+    (entry,) = _annotate([(matrix, tau)], 2, capacity)
     return entry
 
 
@@ -333,7 +417,7 @@ def test_edge_pairs_separate_what_facets_cannot():
 
 def test_separating_axis_test_refuses_dimension_4():
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    first, second = _annotate([(identity, (0, 0, 0, 0))] * 2, 1, 1, F(1))
+    first, second = _annotate([(identity, (0, 0, 0, 0))] * 2, 1, F(1))
     with pytest.raises(ValueError, match="dimension"):
         _separated(first, second)
 
@@ -351,11 +435,11 @@ def test_scan_has_no_pair_budget():
     # that spent one LP on each such pair and stopped after 200 of them
     # missed the disjoint placement listed after them.
     identity = ((1, 0), (0, 1))
-    (triangle,) = _annotate([(identity, (0, 0))], 1, 1, F(2))
+    (triangle,) = _annotate([(identity, (0, 0))], 1, F(2))
     overlapping, disjoint = [], None
     for matrix in _unimodular_matrices(2, 2):
         for tau in product(range(-3, 4), repeat=2):
-            (entry,) = _annotate([(matrix, tau)], 1, 1, F(2))
+            (entry,) = _annotate([(matrix, tau)], 1, F(2))
             if any(
                 hi1 <= lo2 or hi2 <= lo1
                 for (lo1, hi1), (lo2, hi2) in zip(triangle[1], entry[1])
@@ -379,6 +463,6 @@ def test_scan_has_no_pair_budget():
         if disjoint is not None:
             break
     assert disjoint is not None
-    second = _annotate(overlapping + [disjoint], 1, 1, F(2))
-    pair = _find_disjoint_pair([triangle], second, False)
+    second = _annotate(overlapping + [disjoint], 1, F(2))
+    pair = _find_disjoint_pair([triangle], second)
     assert pair == (_build_simplex(triangle), _build_simplex(second[-1]))
