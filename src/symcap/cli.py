@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Verbs: cap, pack, spectrum, check, plot, verify.  All rationals are read
-and written as "p/q" strings; output is deterministic byte-for-byte.
+Verbs: cap, pack, spectrum, check, plot, verify.  Rationals are read
+exactly ("p/q", integers or decimals such as "0.01") and written as "p/q"
+strings; output is deterministic byte-for-byte.
 Exit codes: 0 success, 2 parse error, 3 computation precondition.
 """
 
@@ -32,7 +33,8 @@ class ParseFailure(ValueError):
 
 
 def parse_rational(text: str) -> Fraction | float:
-    """A "p/q" (or "inf") command-line value."""
+    """A rational command-line value: "p/q", an integer, an exact decimal
+    such as "0.01" (1/100), or "inf"."""
     try:
         return rat(text)
     except ValueError as exc:

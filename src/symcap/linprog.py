@@ -125,16 +125,3 @@ def solve_lp(
     value = sum((cost[j] * x[j] for j in range(n)), _ZERO)
     return OPTIMAL, x, value
 
-
-def maximize_over_polytope(
-    objective: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
-) -> tuple[str, Fraction | None]:
-    """Maximize objective . x subject to a_ub x <= b_ub and x >= 0."""
-    m = len(a_ub)
-    n = len(objective)
-    rows = [list(row) + [_ONE if j == r else _ZERO for j in range(m)] for r, row in enumerate(a_ub)]
-    cost = list(objective) + [_ZERO] * m
-    status, _, value = solve_lp(cost, rows, list(b_ub))
-    return status, value

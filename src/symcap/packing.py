@@ -7,11 +7,12 @@ certificates reproduce the standard decompositions of long ellipsoids
 and polydisks; the search is a certified lower-bound engine over a
 bounded slice of the special affine group, never an exact optimizer.
 
-The search decides disjointness with an exact integer separating-axis
-test on precomputed vertex, facet and edge data (`_separated`); the
-verifier keeps its own, independent implementation, the box and facet
-checks plus the rational LP of `interiors_disjoint`, and every returned
-certificate has passed it.
+Each probe of the search decides, in integer arithmetic, whether any two
+contained grid placements have disjoint interiors, with one sweep over
+the directions that can separate them (`_find_disjoint_pair`); a failed
+probe is a complete scan of its grid.  The verifier keeps its own,
+independent implementation, the box and facet checks plus the rational
+LP of `interiors_disjoint`, and every returned certificate has passed it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from operator import mul, sub
+from itertools import combinations, product, repeat
+from operator import mul, neg, sub
 
 from .capacities import c2b_closed_form
 from .exactgeom import (
@@ -34,7 +35,6 @@ from .exactgeom import (
     cofactor_vector,
     contains,
     interiors_disjoint,
-    inward_facets,
     moment_polytope,
 )
 from .rationals import is_infinite, rat
@@ -63,21 +63,14 @@ class PackingCertificate:
 class SearchConfig:
     """Bounds for the packing search.
 
-    Matrix entries range over [-B, B]; translations run on a grid of
+    Matrix entries range over [-B, B]; a search whose SL_n(Z) enumeration
+    would walk more than ENUMERATION_BUDGET tuples is refused, and with it
+    every search in dimension 4 or more.  Translations run on a grid of
     step 1/q over the polytope's bounding box.  When ``equal_balls`` is
-    false the search also probes the coarse unequal splits (t/3, 2t/3)
-    and (t/4, 3t/4) of each candidate total.  The bisection on the total
-    starts from a proven ceiling: the closed-form c_2B for ellipsoids and
-    polydisks, twice the least width of the bounding box for other
-    polytopes (see `search_two_balls`).  The SL_n(Z) enumeration walks
-    (2B+1)^(n^2-1) integer tuples, and a search that would walk more than
-    ENUMERATION_BUDGET of them is refused: the budget admits B = 2 in
-    dimension 3 and B <= 49 in dimension 2, and no search in dimension 4
-    or more.  Each probe keeps the first and last 80 grid placements of
-    each capacity and decides every pair of them exactly with the integer
-    separating-axis test, so a failed probe is a complete scan of those
-    placements; that trim is the search's only truncation.  The returned
-    certificate is checked once, by `verify_certificate`.
+    false the search also probes the splits (t/3, 2t/3) and (t/4, 3t/4) of
+    each total t.  Each probe sweeps every contained grid placement, so a
+    failed probe proves that no pair on its grid packs at that split; the
+    bisection tolerance is the search's only cut (see `search_two_balls`).
     """
 
     matrix_entry_bound: int = 2
@@ -221,22 +214,19 @@ def _unimodular_matrices(n: int, bound: int) -> tuple:
 
 
 def _contained_placements(
-    polytope: Polytope,
-    box,
-    capacity: Fraction,
-    matrices,
-    q: int,
-    scale: int,
+    polytope: Polytope, box, capacity: Fraction, matrices, q: int, scale: int
 ) -> list:
     """All grid placements of a capacity-`capacity` simplex inside the
-    polytope, as raw (matrix, translation * scale) pairs in lexicographic
-    order; `scale` is a common multiple of q and of the denominators of the
+    polytope, grouped as (matrix, taus) pairs: taus lists the contained
+    translations * scale of that matrix in lexicographic order, and only
+    matrices with at least one are listed, in the order of `matrices`.
+    `scale` is a common multiple of q and of the denominators of the
     offsets, the box and the capacity.
 
     Works in integer arithmetic: containment of g = (M, tau) reduces to
     nu . tau <= beta - max_j nu . (c M e_j) per halfspace, which is linear
-    in tau.  Empty when c exceeds the box's least width (see
-    `search_two_balls`).
+    in tau.  Matrices with the same slack vector share one taus list, built
+    once.  Empty when c exceeds the box's least width (`search_two_balls`).
     """
     n = polytope.dimension
     step = scale // q
@@ -297,183 +287,115 @@ def _contained_placements(
                     k0 = -((last_lo - lo_t) // step)
                     k1 = (hi_t - last_lo) // step
                     taus += [(*prefix, last_lo + k * step) for k in range(k0, k1 + 1)]
-        placements += [(matrix, tau) for tau in taus]
+        if taus:
+            placements.append((matrix, taus))
     return placements
 
 
-# Deterministic work cap so that infeasible probe totals fail fast: a probe
-# keeps only the first and last _PLACEMENT_CAP placements of each capacity
-# (`_trim`), and that is the search's only truncation.  Every pair of the
-# trimmed lists is then decided exactly, so a failed probe is a complete
-# scan of them; every certificate the search returns has passed
-# verify_certificate.
-_PLACEMENT_CAP = 80
+def _primitive(vector) -> tuple[int, ...] | None:
+    """The primitive integer vector on the line of `vector`, of the sign
+    that is lexicographically larger; None for zero."""
+    g = math.gcd(*vector)
+    v = tuple(x // (g or 1) for x in vector)
+    return max(v, tuple(map(neg, v))) if g else None
 
 
-def _trim(placements: list) -> list:
-    if len(placements) <= 2 * _PLACEMENT_CAP:
-        return placements
-    return placements[:_PLACEMENT_CAP] + placements[-_PLACEMENT_CAP:]
+def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
+    """Two placements with disjoint interiors, one from each list, or None.
 
+    `first` and `second` come from `_contained_placements` at the integer
+    `scale`, with capacities `cap_a` and `cap_b`; when `second` is
+    `first`, both come from that list.  None is a complete scan.
 
-def _annotate(placements, scale: int, capacity: Fraction):
-    """Precompute integer scan data per placement at the shared `scale`:
-    vertices, bounding box, inward facet halfspaces and, in dimension 3,
-    the edge data of `_edge_planes`.  The expensive exact objects are
-    built lazily via the trailing (capacity, matrix, tau, scale) tuple.
+    Convex bodies A and B have disjoint interiors iff a facet normal u of
+    A - B weakly separates them, max u.A <= min u.B (the separating-axis
+    theorem).  A facet of A - B is spanned by edges of A and B, so U, the
+    primitive cofactor vectors of every n - 1 edge directions (matrix
+    columns and their differences) of the placements, with both signs,
+    holds every such normal, in any dimension.  Along u, (M, tau) with
+    capacity c spans u.tau + c [min(0, u.M e_j), max(0, u.M e_j)]; the
+    lists pack iff for some u the lowest max in `first` is at most the
+    highest min in `second`.  A simplex has min < max along u, so when one
+    placement holds both extremes (or is paired with itself) u fails.
+
+    Deterministic rule: the first u of sorted U that passes, then the
+    first placement in list order (matrices, then taus) at each extreme.
+    A matrix with the column set of an earlier one (an even column
+    permutation: the same simplex) and the same taus list is skipped.
     """
-    c_int = int(capacity * scale)
-    entries = []
-    for matrix, tau in placements:
-        n = len(tau)
-        iverts = [tau]
-        for j in range(n):
-            iverts.append(tuple(tau[i] + c_int * matrix[i][j] for i in range(n)))
-        bbox = tuple(
-            (min(v[i] for v in iverts), max(v[i] for v in iverts)) for i in range(n)
-        )
-        facets = inward_facets(iverts)
-        edges = _edge_planes(iverts, matrix) if n == 3 else ()
-        entries.append((iverts, bbox, facets, edges, (capacity, matrix, tau, scale)))
-    return entries
+    columns: dict[tuple, int] = {}
 
+    def families(groups) -> dict:
+        # Per taus list (by id): the taus, its matrices' column indices by
+        # position, the (position, matrix) members and the column sets seen.
+        out: dict[int, tuple] = {}
+        for position, (matrix, taus) in enumerate(groups):
+            cols = tuple(zip(*matrix))
+            _, index, members, seen = out.setdefault(
+                id(taus), (taus, [[] for _ in cols], [], set())
+            )
+            if frozenset(cols) not in seen:
+                seen.add(frozenset(cols))
+                for slot, col in zip(index, cols):
+                    slot.append(columns.setdefault(col, len(columns)))
+                members.append((position, matrix))
+        return out
 
-def _cross(a, b) -> tuple[int, int, int]:
-    # cofactor_vector([a, b]) is the same vector, but at 14 us a call
-    # against 0.4 us it would dominate `_annotate`, which needs twelve.
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    families_a = families(first)
+    families_b = families_a if second is first else families(second)
+    if not families_a or not families_b:
+        return None
+    distinct = list(columns)
+    edges = set()
+    for _, index, _, _ in (*families_a.values(), *families_b.values()):
+        for member in zip(*index):
+            cols = [distinct[i] for i in member]
+            cols += [tuple(map(sub, p, r)) for p, r in combinations(cols, 2)]
+            edges.update(map(_primitive, cols))
+    directions = set()
+    for rows in combinations(sorted(edges), len(distinct[0]) - 1):
+        u = _primitive(cofactor_vector(rows))
+        if u is not None:
+            directions.update((u, tuple(map(neg, u))))
 
-
-def _edge_planes(iverts, matrix) -> list[tuple[int, ...]]:
-    """Per edge of a 3-simplex, the flat tuple (a, p, g, h): its direction
-    a, its first endpoint p, and w x a for the two vertices w off the edge,
-    taken relative to p.  For any direction d, (a x d) . w = d . (w x a),
-    so d . g and d . h say on which side of the plane through the edge
-    with normal a x d those two vertices lie.  Directions come from the
-    matrix columns, the simplex's edges divided by its capacity.
-    """
-    rel = [(0, 0, 0), *zip(*matrix)]
-    edges = []
-    for i, j in combinations(range(4), 2):
-        a = tuple(map(sub, rel[j], rel[i]))
-        k, m = (x for x in range(4) if x not in (i, j))
-        g = _cross(tuple(map(sub, rel[k], rel[i])), a)
-        h = _cross(tuple(map(sub, rel[m], rel[i])), a)
-        edges.append((*a, *iverts[i], *g, *h))
-    return edges
-
-
-def _facet_separates_2d(facets, points) -> bool:
-    # Some inward facet nu . x >= beta of one triangle has all three
-    # points on or beyond its line.
-    (x0, y0), (x1, y1), (x2, y2) = points
-    for (a, b), beta in facets:
-        if a * x0 + b * y0 <= beta and a * x1 + b * y1 <= beta and a * x2 + b * y2 <= beta:
-            return True
-    return False
-
-
-def _facet_slacks_3d(facets, points) -> list[tuple[int, int, int, int]]:
-    # Row f, column j: nu_f . p_j - beta_f, the side of facet f of one
-    # simplex on which vertex j of the other lies (> 0 strictly inside).
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = points
-    return [
-        (
-            a * x0 + b * y0 + c * z0 - beta,
-            a * x1 + b * y1 + c * z1 - beta,
-            a * x2 + b * y2 + c * z2 - beta,
-            a * x3 + b * y3 + c * z3 - beta,
-        )
-        for (a, b, c), beta in facets
-    ]
-
-
-def _separated(first, second) -> bool:
-    """Whether two annotated placements have disjoint interiors, exactly.
-
-    Integer separating-axis test: two full-dimensional convex polytopes
-    have disjoint interiors iff a facet normal u of their Minkowski
-    difference weakly separates them, max(A . u) <= min(B . u) or the
-    reverse.  Those normals are the facet normals of either simplex and,
-    in dimension 3, the cross products u = a x d of an edge a of A and an
-    edge d of B such that A meets the plane through a with normal u only
-    in a, and B the plane through d only in d, from opposite sides.  The
-    candidates run from cheap to dear: the coordinate axes (bounding
-    boxes, complete in dimension 1), the stored facets (complete in
-    dimension 2); in dimension 3 a vertex or centroid of one simplex
-    strictly inside the other then proves overlap before the 36 edge
-    pairs are tried.  Raises ValueError in dimension 4 or more, where
-    mixed faces of higher dimension also give normals.
-    """
-    v1, box1, f1, e1, _ = first
-    v2, box2, f2, e2, _ = second
-    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
-        if hi1 <= lo2 or hi2 <= lo1:
-            return True
-    n = len(box1)
-    if n == 1:
-        return False
-    if n == 2:
-        return _facet_separates_2d(f1, v2) or _facet_separates_2d(f2, v1)
-    if n > 3:
-        raise ValueError(f"the separating-axis test covers dimension <= 3, not {n}")
-    slacks = (_facet_slacks_3d(f1, v2), _facet_slacks_3d(f2, v1))
-    for rows in slacks:
-        for row in rows:
-            if max(row) <= 0:
-                return True
-    for rows in slacks:
-        # A vertex, or the centroid (the column sum), strictly inside.
-        if max(map(min, zip(*rows))) > 0 or min(map(sum, rows)) > 0:
-            return False
-    for a0, a1, a2, px, py, pz, g0, g1, g2, h0, h1, h2 in e1:
-        for d0, d1, d2, qx, qy, qz, k0, k1, k2, m0, m1, m2 in e2:
-            # u = a x d is a facet normal of A - B only if both vertices
-            # of A off a lie strictly on one side of the plane through a
-            # and both of B's off d strictly on the other side.  A zero
-            # puts a facet of A or B in the plane, which the facet step
-            # has tried; a x d = 0 makes every product zero.
-            s = d0 * g0 + d1 * g1 + d2 * g2
-            t = d0 * h0 + d1 * h1 + d2 * h2
-            if s * t <= 0:
-                continue
-            side = 1 if s > 0 else -1  # A lies in side * u . (x - p) >= 0
-            # For B, side * u . w < 0 with u . w = -(a . (w x d)).
-            if side * (a0 * k0 + a1 * k1 + a2 * k2) <= 0:
-                continue
-            if side * (a0 * m0 + a1 * m1 + a2 * m2) <= 0:
-                continue
-            u0 = a1 * d2 - a2 * d1
-            u1 = a2 * d0 - a0 * d2
-            u2 = a0 * d1 - a1 * d0
-            if side * (u0 * (px - qx) + u1 * (py - qy) + u2 * (pz - qz)) >= 0:
-                return True
-    return False
-
-
-def _build_simplex(entry) -> SimplexImage:
-    capacity, matrix, tau, scale = entry[-1]
-    g = SpecialAffineTransform(matrix, tuple(Fraction(t, scale) for t in tau))
-    return SimplexImage(capacity, g)
-
-
-def _find_disjoint_pair(first, second):
-    """First pair (lex order) with disjoint interiors, or None; when
-    `second` is `first`, only pairs of two distinct entries count.
-
-    Every pair is decided exactly by the integer separating-axis test
-    `_separated`, so None means that no pair of the two lists packs; the
-    rational LP of `interiors_disjoint` is left to the verifier.
-    """
-    for i, entry1 in enumerate(first):
-        for entry2 in second[i + 1 :] if first is second else second:
-            if _separated(entry1, entry2):
-                return _build_simplex(entry1), _build_simplex(entry2)
+    c_a, c_b = int(cap_a * scale), int(cap_b * scale)
+    tau_lists = {key: family[0] for key, family in (families_a | families_b).items()}
+    for u in sorted(directions):
+        dots = [sum(map(mul, u, col)) for col in distinct]
+        lows, highs = {}, {}
+        for key, taus in tau_lists.items():
+            values = [sum(map(mul, u, tau)) for tau in taus]
+            lows[key], highs[key] = min(values), -max(values)
+        # The highest min along u is minus the lowest max along -u; it
+        # bounds the families of `first` worth a look.
+        b = _lowest_max(families_b, highs, [-d for d in dots], c_b)
+        a = _lowest_max(families_a, lows, dots, c_a, -b[0])
+        if a is not None and a[0] <= -b[0]:
+            return _placement(cap_a, a, u, scale), _placement(cap_b, b, u, scale, -1)
     return None
+
+
+def _lowest_max(families, lows, dots, capacity: int, bound=math.inf):
+    """(value, position, matrix, taus) of the placement with the lowest max
+    along u, the first in list order on ties, among the families whose
+    lowest u.tau is at most `bound` (others have no max below it)."""
+    best = None
+    for key, (taus, index, members, _) in families.items():
+        if lows[key] <= bound:
+            heights = list(map(max, repeat(0), *[map(dots.__getitem__, slot) for slot in index]))
+            i = heights.index(min(heights))
+            found = (lows[key] + capacity * heights[i], *members[i], taus)
+            if best is None or found[:2] < best[:2]:
+                best = found
+    return best
+
+
+def _placement(capacity, found, u, scale, sign=1) -> SimplexImage:
+    # The found matrix with its first translation at the lowest sign * u.tau.
+    _, _, matrix, taus = found
+    tau = min(taus, key=lambda t: sign * sum(map(mul, u, t)))
+    translation = tuple(Fraction(t, scale) for t in tau)
+    return SimplexImage(capacity, SpecialAffineTransform(matrix, translation))
 
 
 def search_two_balls(
@@ -484,11 +406,13 @@ def search_two_balls(
     Returns the best certificate found, after one call of
     `verify_certificate` on it, or None when no probed total packs.  No
     SL_n(Z) matrix has a zero row, so a simplex image of capacity c spans
-    at least c along every axis: no placement has a capacity above the
-    least width w of the bounding box, and no total above 2w packs.  The
-    ceiling is the closed-form c_2B (at most 2w) for ellipsoids and
-    polydisks and 2w for other polytopes.  A probe that packs at the
-    ceiling ends the search; otherwise it bisects on [0, ceiling].
+    at least c along every axis: no total above twice the least width w of
+    the bounding box packs, and in dimension 1 none above w.  The ceiling
+    is the closed-form c_2B for ellipsoids and polydisks and that bound
+    for other polytopes.  A probe that packs at the ceiling ends the
+    search; otherwise it bisects on [0, ceiling].  A probe sweeps every
+    contained grid placement (`_find_disjoint_pair`), so a failed probe is
+    a proof for its grid.
     """
     polytope = moment_polytope(domain)
     # Refuses a too-large enumeration before doing any of it.
@@ -502,11 +426,8 @@ def search_two_balls(
     try:
         ceiling = c2b_closed_form(domain).value
     except ValueError:  # no closed form for a general polytope
-        ceiling = 2 * min(hi - lo for lo, hi in box)
-
-    def scan_data(capacity: Fraction, scale: int) -> list:
-        raw = _contained_placements(polytope, box, capacity, matrices, q, scale)
-        return _annotate(_trim(raw), scale, capacity)
+        width = min(hi - lo for lo, hi in box)
+        ceiling = width if polytope.dimension == 1 else 2 * width
 
     def probe(total: Fraction) -> PackingCertificate | None:
         splits = [(total / 2, total / 2)]
@@ -514,11 +435,10 @@ def search_two_balls(
             splits += [(total / 3, 2 * total / 3), (total / 4, 3 * total / 4)]
         for cap_a, cap_b in splits:
             scale = math.lcm(q, *denominators, cap_a.denominator, cap_b.denominator)
-            first = scan_data(cap_a, scale)
-            if not first:
-                continue
-            second = first if cap_b == cap_a else scan_data(cap_b, scale)
-            pair = _find_disjoint_pair(first, second)
+            first = second = _contained_placements(polytope, box, cap_a, matrices, q, scale)
+            if first and cap_b != cap_a:
+                second = _contained_placements(polytope, box, cap_b, matrices, q, scale)
+            pair = _find_disjoint_pair(cap_a, first, cap_b, second, scale)
             if pair is not None:
                 return PackingCertificate(pair, domain, total)
         return None

@@ -17,11 +17,13 @@ RationalLike = Fraction | int | str | float
 
 
 def rat(value: RationalLike) -> Fraction | float:
-    """Parse an exact rational from "p/q", an int, or a Fraction.
+    """Parse an exact rational from a string, an int, or a Fraction.
 
-    The strings "inf" and "oo" (and math.inf itself) yield the +inf
-    sentinel.  Floats other than inf are rejected: decimal literals are
-    ambiguous and this package never rounds.
+    A string is anything `Fraction` reads exactly: "p/q", an integer, or a
+    decimal such as "0.01", which is 1/100 with no rounding.  The strings
+    "inf" and "oo" (and math.inf itself) yield the +inf sentinel.  Floats
+    other than inf are rejected: the float 0.01 is not 1/100, and this
+    package never rounds.
     """
     if isinstance(value, Fraction):
         return value

@@ -22,7 +22,9 @@ from symcap.exactgeom import (
     simplex_vertices,
     standard_simplex,
 )
-from symcap.linprog import OPTIMAL, maximize_over_polytope
+from symcap.linprog import OPTIMAL
+
+from lp_reference import maximize_over_polytope
 
 F = Fraction
 

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap.exactgeom import cofactor_vector, int_det
-from symcap.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize_over_polytope, solve_lp
+from symcap.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+from lp_reference import maximize_over_polytope
 
 F = Fraction
 

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,11 +24,8 @@ from symcap import packing
 from symcap.packing import (
     PackingCertificate,
     SearchConfig,
-    _annotate,
-    _build_simplex,
     _contained_placements,
     _find_disjoint_pair,
-    _separated,
     _unimodular_matrices,
     canonical_certificate,
     search_two_balls,
@@ -154,27 +151,29 @@ _ORTHANT = [((-1, 0), 0), ((0, -1), 0)]
         (
             _ORTHANT + [((1, 1), 2)],
             F(2),
-            ((((-2, -1), (1, 0)), (2, 0)), (((-1, -2), (1, 1)), (2, 0))),
+            ((((-1, -1), (1, 0)), (2, 0)), (((-1, -1), (1, 0)), (1, 0))),
         ),
         (
             _ORTHANT + [((1, 2), 3), ((2, 1), 3)],
             F(1023, 512),
-            ((((-1, -1), (0, -1)), (1, 1)), (((1, 1), (0, 1)), (0, 0))),
+            ((((-1, 0), (0, -1)), (1, 1)), (((1, 0), (0, 1)), (0, 0))),
         ),
         (
             _ORTHANT + [((3, 1), 6), ((1, 2), 6)],
             F(3),
             (
-                (((-1, -1), (0, -1)), (F(3, 2), F(3, 2))),
-                (((-1, -1), (1, 0)), (F(3, 2), F(3, 2))),
+                (((-1, 0), (1, -1)), (F(3, 2), F(3, 2))),
+                (((-1, -1), (1, 0)), (F(3, 2), 0)),
             ),
         ),
     ],
     ids=["triangle", "quadrilateral", "wide-quadrilateral"],
 )
 def test_search_2d_certificates_are_pinned(halfspaces, total, placements):
-    # Found with the default configuration by the LP-based scan this search
-    # replaced; the separating-axis scan must find the same pairs.
+    # Found with the default configuration by the direction sweep: the
+    # first separating direction in sorted order, then the first placement
+    # in list order at each extreme.  The totals are those of the earlier
+    # LP-based and trimmed pair scans.
     domain = polytope_domain(Polytope.from_halfspaces(halfspaces))
     cert = search_two_balls(domain, SearchConfig())
     assert cert.total == total
@@ -207,7 +206,7 @@ def test_search_stops_at_a_reachable_ceiling(equal_balls, monkeypatch):
     assert len(calls) == 1
     found = tuple((s.transform.matrix, s.transform.translation) for s in cert.simplices)
     assert cert.total == 2
-    assert found == ((((-1, -1), (-1, -2)), (1, 2)), (((-1, -1), (0, -1)), (1, 2)))
+    assert found == ((((-1, 0), (0, -1)), (1, 2)), (((-1, -1), (1, 0)), (1, 0)))
 
 
 def test_search_verifies_its_certificate_once(monkeypatch):
@@ -222,6 +221,25 @@ def test_search_on_flat_polytope_finds_nothing():
     # The segment {0} x [0, 1] has least width 0: no simplex fits.
     flat = Polytope.from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
     assert search_two_balls(polytope_domain(flat), SEARCH) is None
+
+
+def test_search_recovers_trimmed_packing():
+    # Total 3 packs on the default grid; a probe that kept only the first
+    # and last 80 placements of each capacity missed it and ended at 1227/512.
+    cert = search_two_balls(ellipsoid(2, 3), SearchConfig())
+    assert cert.total == 3
+    assert verify_certificate(cert)
+
+
+@pytest.mark.parametrize("equal_balls", [True, False])
+def test_search_in_dimension_1_starts_at_the_width(equal_balls, monkeypatch):
+    # Two segments with disjoint interiors in [0, 3] have total at most 3,
+    # and 3 packs, so the first probe ends the search.
+    calls = _count_calls(monkeypatch, "_contained_placements")
+    segment = polytope_domain(Polytope.from_halfspaces([((-1,), 0), ((1,), 3)]))
+    cert = search_two_balls(segment, SearchConfig(equal_balls=equal_balls))
+    assert cert.total == 3
+    assert len(calls) == 1
 
 
 def test_search_dimension_cap():
@@ -268,6 +286,11 @@ def _scale(polytope, box, q, *capacities):
     return math.lcm(q, *(x.denominator for x in values))
 
 
+def _flat(groups):
+    """The (matrix, translation) placements of a grouped list, in order."""
+    return [(matrix, tau) for matrix, taus in groups for tau in taus]
+
+
 def _grid(box, q):
     """Every translation lo + k/q inside the box, per axis."""
     axes = [
@@ -300,9 +323,9 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
         matrices = matrices[::37]  # a spread-out sample keeps the test fast
     for capacity in capacities:
         scale = _scale(polytope, box, q, capacity)
-        placements = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        groups = _contained_placements(polytope, box, capacity, matrices, q, scale)
         found = {}
-        for matrix, tau in placements:
+        for matrix, tau in _flat(groups):
             found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
         assert found
         for matrix, taus in found.items():
@@ -337,10 +360,26 @@ def test_contained_placements_ignore_a_larger_scale():
     box = polytope.bounding_box()
     matrices = _unimodular_matrices(2, 2)
     scale = _scale(polytope, box, 4, F(1, 3))
-    small = _contained_placements(polytope, box, F(1, 3), matrices, 4, scale)
-    large = _contained_placements(polytope, box, F(1, 3), matrices, 4, 6 * scale)
+    small = _flat(_contained_placements(polytope, box, F(1, 3), matrices, 4, scale))
+    large = _flat(_contained_placements(polytope, box, F(1, 3), matrices, 4, 6 * scale))
     assert small
     assert large == [(m, tuple(6 * t for t in tau)) for m, tau in small]
+
+
+def test_contained_placements_share_one_list_per_slack_vector():
+    # Matrices with the same column set have the same slacks, so their
+    # translations are one shared list; no matrix is listed without any.
+    polytope = moment_polytope(ellipsoid(1, 2, 3))
+    box = polytope.bounding_box()
+    scale = _scale(polytope, box, 2, F(1, 2))
+    groups = _contained_placements(polytope, box, F(1, 2), _unimodular_matrices(3, 1), 2, scale)
+    by_columns = {}
+    for matrix, taus in groups:
+        assert taus
+        by_columns.setdefault(frozenset(zip(*matrix)), []).append(taus)
+    assert any(len(lists) > 1 for lists in by_columns.values())
+    for lists in by_columns.values():
+        assert all(taus is lists[0] for taus in lists)
 
 
 def test_search_config_validation():
@@ -353,109 +392,121 @@ def test_search_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# The search's separating-axis test
+# The search's direction sweep
 # ---------------------------------------------------------------------------
 
 
-def _placement(n):
-    """A simplex image with SL_n(Z) entries in [-1, 1], a translation in
-    (1/2)Z within [-1, 1]^n (as halves) and a capacity in {1/2, 1, 3/2}."""
-    return st.tuples(
-        st.sampled_from(_unimodular_matrices(n, 1)),
-        st.tuples(*[st.integers(-2, 2)] * n),
-        st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+def _simplex(capacity, matrix, tau, scale=1):
+    return SimplexImage(
+        capacity, SpecialAffineTransform(matrix, tuple(F(t, scale) for t in tau))
     )
 
 
-def _entry(placement):
-    matrix, tau, capacity = placement
-    (entry,) = _annotate([(matrix, tau)], 2, capacity)
-    return entry
+def _elementary_product(n, steps):
+    """The product of the elementary matrices I + s E_ij, an SL_n(Z) matrix."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, s in steps:
+        rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
 
 
+def _matrix(n):
+    if n == 1:
+        return st.just(((1,),))
+    steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from([-1, 1]))
+    # Adding j = i + k (mod n) with k >= 1 keeps i != j.
+    steps = steps.map(lambda step: (step[0], (step[0] + step[1]) % n, step[2]))
+    return st.lists(steps, max_size=5).map(lambda ss: _elementary_product(n, ss))
+
+
+@st.composite
+def _probe(draw):
+    """(first, second) placement lists as `_contained_placements` groups
+    them, at scale 2: translations are halves in [-1, 1]^n and capacities
+    lie in {1/2, 1, 3/2}.  Groups may share a taus list, and in dimension
+    >= 3 a matrix may come twice, the second time with its first three
+    columns rotated (the same simplex)."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * n)
+    pool = draw(st.lists(st.lists(point, min_size=1, max_size=2, unique=True), min_size=1, max_size=2))
+
+    def placements():
+        capacity = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+        # Dimension 4 takes a cofactor vector per triple of edge directions.
+        picks = st.tuples(_matrix(n), st.integers(0, len(pool) - 1))
+        groups = []
+        for matrix, k in draw(st.lists(picks, min_size=1, max_size=3 if n < 4 else 1)):
+            groups.append((matrix, pool[k]))
+            if n >= 3 and draw(st.booleans()):
+                rotated = tuple((row[1], row[2], row[0], *row[3:]) for row in matrix)
+                groups.append((rotated, pool[k]))
+        return capacity, groups
+
+    first = placements()
+    second = first if draw(st.booleans()) else placements()
+    return first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe=_probe())
 # Separated only by the cross product of an edge of each.
-_EDGE_PAIR = (
-    (((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), (2, -2, -1), F(1)),
-    (((0, 1, 0), (0, -1, 1), (1, 0, 1)), (0, 1, -2), F(1)),
-)
+@example(probe=(
+    (F(1), [(((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), [(2, -2, -1)])]),
+    (F(1), [(((0, 1, 0), (0, -1, 1), (1, 0, 1)), [(0, 1, -2)])]),
+))
 # Separated only by an edge pair, with a vertex of one on the other's boundary.
-_TOUCHING_EDGE_PAIR = (
-    (((0, -1, 1), (0, -1, 0), (1, 1, -1)), (-2, 2, -1), F(1)),
-    (((-1, -1, 0), (1, 1, -1), (0, -1, -1)), (-1, 0, -1), F(1, 2)),
-)
+@example(probe=(
+    (F(1), [(((0, -1, 1), (0, -1, 0), (1, 1, -1)), [(-2, 2, -1)])]),
+    (F(1, 2), [(((-1, -1, 0), (1, 1, -1), (0, -1, -1)), [(-1, 0, -1)])]),
+))
 # Touching along a facet plane of the first.
-_TOUCHING_FACET_PAIR = (
-    (((0, -1, 0), (1, 1, 0), (1, -1, 1)), (1, 0, -1), F(3, 2)),
-    (((0, 0, 1), (0, 1, 0), (-1, 0, -1)), (0, 0, 2), F(1, 2)),
-)
-
-
-@settings(max_examples=600, deadline=None)
-@given(
-    pair=st.integers(1, 3).flatmap(lambda n: st.tuples(_placement(n), _placement(n)))
-)
-@example(pair=_EDGE_PAIR)
-@example(pair=_TOUCHING_EDGE_PAIR)
-@example(pair=_TOUCHING_FACET_PAIR)
-def test_separating_axis_test_matches_interiors_disjoint(pair):
-    # Tight translations make overlapping and touching pairs common; in
-    # dimension 3 about 2 % of pairs are separated only by an edge pair.
-    first, second = (_entry(p) for p in pair)
-    expected = interiors_disjoint(_build_simplex(first), _build_simplex(second))
-    assert _separated(first, second) == expected
-    assert _separated(second, first) == expected
-
-
-def test_edge_pairs_separate_what_facets_cannot():
-    first, second = (_entry(p) for p in _EDGE_PAIR)
-    assert interiors_disjoint(_build_simplex(first), _build_simplex(second))
-    assert _separated(first, second) and _separated(second, first)
-    # Without the edge data only the boxes and the facets are tried.
-    no_edges = [entry[:3] + ((),) + entry[4:] for entry in (first, second)]
-    assert not _separated(*no_edges)
-
-
-def test_separating_axis_test_refuses_dimension_4():
-    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    first, second = _annotate([(identity, (0, 0, 0, 0))] * 2, 1, F(1))
-    with pytest.raises(ValueError, match="dimension"):
-        _separated(first, second)
-
-
-def _has_point_strictly_inside(points, facets, weight=1):
-    return any(
-        all(sum(a * x for a, x in zip(nu, p)) > beta * weight for nu, beta in facets)
-        for p in points
-    )
+@example(probe=(
+    (F(3, 2), [(((0, -1, 0), (1, 1, 0), (1, -1, 1)), [(1, 0, -1)])]),
+    (F(1, 2), [(((0, 0, 1), (0, 1, 0), (-1, 0, -1)), [(0, 0, 2)])]),
+))
+def test_sweep_matches_interiors_disjoint(probe):
+    # Tight translations make overlapping and touching pairs common.  The
+    # sweep finds a pair iff some pair of the lists (of two distinct
+    # placements, for one list) has disjoint interiors by the LP.
+    first, second = probe
+    flat = [[_simplex(c, m, tau, 2) for m, tau in _flat(groups)] for c, groups in probe]
+    pairs = combinations(flat[0], 2) if second is first else product(*flat)
+    expected = any(interiors_disjoint(a, b) for a, b in pairs)
+    pair = _find_disjoint_pair(*first, *second, 2)
+    assert (pair is not None) == expected
+    if pair is not None:
+        assert pair[0] in flat[0] and pair[1] in flat[1]
+        assert interiors_disjoint(*pair)
 
 
 def test_scan_has_no_pair_budget():
     # More than 200 placements overlap the capacity-2 triangle without a
     # vertex or centroid of either simplex strictly inside the other; a scan
     # that spent one LP on each such pair and stopped after 200 of them
-    # missed the disjoint placement listed after them.
+    # missed the disjoint placement listed after them.  The sweep finds it.
     identity = ((1, 0), (0, 1))
-    (triangle,) = _annotate([(identity, (0, 0))], 1, F(2))
+    triangle = _simplex(F(2), identity, (0, 0))
+    corners = [(0, 0), (2, 0), (0, 2)]
     overlapping, disjoint = [], None
     for matrix in _unimodular_matrices(2, 2):
         for tau in product(range(-3, 4), repeat=2):
-            (entry,) = _annotate([(matrix, tau)], 1, F(2))
+            vertices = [tau, *(tuple(t + 2 * c for t, c in zip(tau, col)) for col in zip(*matrix))]
             if any(
-                hi1 <= lo2 or hi2 <= lo1
-                for (lo1, hi1), (lo2, hi2) in zip(triangle[1], entry[1])
+                max(a) <= min(b) or max(b) <= min(a)
+                for a, b in zip(zip(*corners), zip(*vertices))
             ):
                 continue
-            vertices = [triangle[0], entry[0]]
-            facets = [inward_facets(v) for v in vertices]
-            centroids = [[tuple(map(sum, zip(*v)))] for v in vertices]
+            points = [corners, vertices]
+            facets = [inward_facets(v) for v in points]
+            centroids = [[tuple(map(sum, zip(*v)))] for v in points]
             if (
-                _has_point_strictly_inside(vertices[1], facets[0])
-                or _has_point_strictly_inside(vertices[0], facets[1])
+                _has_point_strictly_inside(points[1], facets[0])
+                or _has_point_strictly_inside(points[0], facets[1])
                 or _has_point_strictly_inside(centroids[1], facets[0], 3)
                 or _has_point_strictly_inside(centroids[0], facets[1], 3)
             ):
                 continue
-            if not interiors_disjoint(_build_simplex(triangle), _build_simplex(entry)):
+            if not interiors_disjoint(triangle, _simplex(F(2), matrix, tau)):
                 overlapping.append((matrix, tau))
             elif len(overlapping) > 200:
                 disjoint = (matrix, tau)
@@ -463,6 +514,13 @@ def test_scan_has_no_pair_budget():
         if disjoint is not None:
             break
     assert disjoint is not None
-    second = _annotate(overlapping + [disjoint], 1, F(2))
-    pair = _find_disjoint_pair([triangle], second)
-    assert pair == (_build_simplex(triangle), _build_simplex(second[-1]))
+    second = [(matrix, [tau]) for matrix, tau in overlapping + [disjoint]]
+    pair = _find_disjoint_pair(F(2), [(identity, [(0, 0)])], F(2), second, 1)
+    assert pair == (triangle, _simplex(F(2), *disjoint))
+
+
+def _has_point_strictly_inside(points, facets, weight=1):
+    return any(
+        all(sum(a * x for a, x in zip(nu, p)) > beta * weight for nu, beta in facets)
+        for p in points
+    )

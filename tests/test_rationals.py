@@ -22,6 +22,13 @@ def test_inf_sentinel():
     assert fmt(INF) == "inf"
 
 
+def test_decimal_strings_are_exact():
+    # The string is read digit by digit; the float 0.01 is not 1/100.
+    assert rat("0.01") == Fraction(1, 100)
+    with pytest.raises(ValueError):
+        rat(0.01)
+
+
 @pytest.mark.parametrize("bad", ["", "abc", "1/0", 0.5, True])
 def test_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
