@@ -447,23 +447,73 @@ def _probe(draw):
     return first, second
 
 
-@settings(max_examples=300, deadline=None)
-@given(probe=_probe())
+# Pairs of one-placement lists, at scale 2 as in `_probe`.
 # Separated only by the cross product of an edge of each.
-@example(probe=(
+_EDGE_PAIR = (
     (F(1), [(((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), [(2, -2, -1)])]),
     (F(1), [(((0, 1, 0), (0, -1, 1), (1, 0, 1)), [(0, 1, -2)])]),
-))
+)
 # Separated only by an edge pair, with a vertex of one on the other's boundary.
-@example(probe=(
+_TOUCHING_EDGE_PAIR = (
     (F(1), [(((0, -1, 1), (0, -1, 0), (1, 1, -1)), [(-2, 2, -1)])]),
     (F(1, 2), [(((-1, -1, 0), (1, 1, -1), (0, -1, -1)), [(-1, 0, -1)])]),
-))
+)
 # Touching along a facet plane of the first.
-@example(probe=(
+_TOUCHING_FACET_PAIR = (
     (F(3, 2), [(((0, -1, 0), (1, 1, 0), (1, -1, 1)), [(1, 0, -1)])]),
     (F(1, 2), [(((0, 0, 1), (0, 1, 0), (-1, 0, -1)), [(0, 0, 2)])]),
-))
+)
+
+
+@st.composite
+def _placement(draw, n):
+    """A one-placement list (capacity, [(matrix, [tau])]) at scale 2."""
+    capacity = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+    tau = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    return capacity, [(draw(_matrix(n)), [tau])]
+
+
+def _vertices(capacity, groups):
+    """The integer vertices, at scale 2, of a one-placement list."""
+    ((matrix, (tau,)),) = groups
+    step = int(2 * capacity)
+    return [tau, *(tuple(t + step * c for t, c in zip(tau, col)) for col in zip(*matrix))]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    pair=st.integers(1, 3).flatmap(lambda n: st.tuples(_placement(n), _placement(n)))
+)
+@example(pair=_EDGE_PAIR)
+@example(pair=_TOUCHING_EDGE_PAIR)
+@example(pair=_TOUCHING_FACET_PAIR)
+def test_separating_axis_test_matches_interiors_disjoint(pair):
+    # On two one-placement lists the sweep is a separating-axis test of one
+    # pair.  Tight translations make overlapping and touching pairs common;
+    # in dimension 3 about 2 % of pairs are separated only by an edge pair.
+    first, second = pair
+    expected = interiors_disjoint(
+        *(_simplex(c, m, tau, 2) for c, groups in pair for m, tau in _flat(groups))
+    )
+    assert (_find_disjoint_pair(*first, *second, 2) is not None) == expected
+    assert (_find_disjoint_pair(*second, *first, 2) is not None) == expected
+
+
+def test_edge_pairs_separate_what_facets_cannot():
+    first, second = _EDGE_PAIR
+    vertices = [_vertices(*first), _vertices(*second)]
+    # Neither a coordinate axis nor a facet normal of either simplex
+    # separates them: the sweep needs the cross products of edge pairs.
+    for a, b in (vertices, vertices[::-1]):
+        assert not any(max(p) <= min(q) for p, q in zip(zip(*a), zip(*b)))
+        for nu, beta in inward_facets(a):
+            assert max(sum(x * y for x, y in zip(nu, v)) for v in b) > beta
+    assert interiors_disjoint(*(_simplex(c, *_flat(groups)[0], 2) for c, groups in _EDGE_PAIR))
+    assert _find_disjoint_pair(*first, *second, 2) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe=_probe())
 def test_sweep_matches_interiors_disjoint(probe):
     # Tight translations make overlapping and touching pairs common.  The
     # sweep finds a pair iff some pair of the lists (of two distinct
