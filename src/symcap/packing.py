@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, permutations, product, repeat
 from operator import mul, neg, sub
 
 from .capacities import c2b_closed_form
@@ -41,11 +41,18 @@ from .rationals import is_infinite, rat
 
 # Work budget of the SL_n(Z) enumeration, in (2B+1)^(n^2-1) walked tuples,
 # so that an admitted enumeration takes well under a second.  On a 2-vCPU
-# Xeon with Python 3.11, n = 3, B = 2 walks 390,625 tuples in 0.25 s
-# (67,704 matrices); n = 3, B = 3 would walk 5.8M tuples in 2.5 s (640,824
-# matrices, each then scanned for placements) and n = 4, B = 1 14.3M, so
-# both are refused.  In dimension 2 the budget admits B <= 49.
+# Xeon with Python 3.11, n = 3, B = 2 walks 390,625 tuples in 0.12 s
+# (22,568 matrices, one per simplex); n = 3, B = 3 would walk 5.8M tuples
+# in 1.1 s (213,608 matrices, each then scanned for placements) and n = 4,
+# B = 1 14.3M, so both are refused.  In dimension 2 the budget admits B <= 49.
 ENUMERATION_BUDGET = 10**6
+
+# Budget on the translation grid, in points of step 1/q on the bounding box,
+# prod(floor(w_i q) + 1) over its widths w_i; each probe scans that grid once
+# per slack vector.  On the same machine the quadrilateral {x, y >= 0,
+# x + 2y <= 3, 2x + y <= 3} at q = 660 (982,081 points) searches in 3.9 s
+# with an 80 MB peak; `pack --search --grid 8` on E(1,2,7) has 8,721 points.
+GRID_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,8 @@ class SearchConfig:
     Matrix entries range over [-B, B]; a search whose SL_n(Z) enumeration
     would walk more than ENUMERATION_BUDGET tuples is refused, and with it
     every search in dimension 4 or more.  Translations run on a grid of
-    step 1/q over the polytope's bounding box.  When ``equal_balls`` is
+    step 1/q over the polytope's bounding box, and a grid of more than
+    GRID_BUDGET points is refused.  When ``equal_balls`` is
     false the search also probes the splits (t/3, 2t/3) and (t/4, 3t/4) of
     each total t.  Each probe sweeps every contained grid placement, so a
     failed probe proves that no pair on its grid packs at that split; the
@@ -173,15 +181,20 @@ def _corner_reflection(n: int, corner) -> SpecialAffineTransform:
 
 @lru_cache(maxsize=None)
 def _unimodular_matrices(n: int, bound: int) -> tuple:
-    """All SL_n(Z) matrices with entries in [-bound, bound], lexicographic.
+    """One SL_n(Z) matrix per simplex, in lexicographic order: the first of
+    each class of matrices with entries in [-bound, bound] that differ by
+    an even column permutation (one image of the standard simplex).
 
     Expanding det along the last row gives det = sum_j r_j C_j, where the
     cofactors C depend only on the first n - 1 rows.  So those rows and the
     first n - 1 entries of the last row are walked in lexicographic order,
     and det = 1 is solved for the last entry; a prefix whose cofactors have
-    gcd != 1 admits no last row.  Rows are shared between matrices.
-    Raises ValueError, before any enumeration, when the walk would exceed
-    ENUMERATION_BUDGET tuples.
+    gcd != 1 admits no last row.  Before that, a prefix is skipped if an
+    even column permutation makes it smaller.  One that such a permutation
+    fixes has all-zero cofactors (three equal columns, or two pairs), so
+    each kept matrix is below all its twins.  Rows are shared between
+    matrices.  Raises ValueError, before any enumeration, when the walk
+    would exceed ENUMERATION_BUDGET tuples.
     """
     tuples = (2 * bound + 1) ** (n * n - 1)
     if tuples > ENUMERATION_BUDGET:
@@ -192,8 +205,16 @@ def _unimodular_matrices(n: int, bound: int) -> tuple:
     entries = range(-bound, bound + 1)
     width = len(entries)
     rows = list(product(entries, repeat=n))
+    # Per even column permutation but the first, the identity, the index of
+    # each permuted row; rows are sorted, so indices compare as rows do.
+    index = {row: i for i, row in enumerate(rows)}
+    evens = [p for p in permutations(range(n)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
+    twins = [[index[tuple(map(row.__getitem__, p))] for row in rows] for p in evens[1:]]
     matrices = []
-    for prefix in product(rows, repeat=n - 1):
+    for picks in product(range(len(rows)), repeat=n - 1):
+        if any(tuple(map(twin.__getitem__, picks)) < picks for twin in twins):
+            continue
+        prefix = tuple(map(rows.__getitem__, picks))
         *cofactors, c_last = cofactor_vector(prefix)
         if math.gcd(*cofactors, c_last) != 1:
             continue
@@ -217,16 +238,16 @@ def _contained_placements(
     polytope: Polytope, box, capacity: Fraction, matrices, q: int, scale: int
 ) -> list:
     """All grid placements of a capacity-`capacity` simplex inside the
-    polytope, grouped as (matrix, taus) pairs: taus lists the contained
-    translations * scale of that matrix in lexicographic order, and only
-    matrices with at least one are listed, in the order of `matrices`.
-    `scale` is a common multiple of q and of the denominators of the
-    offsets, the box and the capacity.
+    polytope, as (taus, matrices) families, one per slack vector that has
+    any: taus lists the contained translations * scale, in lexicographic
+    order, of each matrix of the family.  Families and their matrices keep
+    the order of `matrices`.  `scale` is a common multiple of q and of the
+    denominators of the offsets, the box and the capacity.
 
     Works in integer arithmetic: containment of g = (M, tau) reduces to
     nu . tau <= beta - max_j nu . (c M e_j) per halfspace, which is linear
-    in tau.  Matrices with the same slack vector share one taus list, built
-    once.  Empty when c exceeds the box's least width (`search_two_balls`).
+    in tau, so the translations depend on M only through these slacks.
+    Empty when c exceeds the box's least width (`search_two_balls`).
     """
     n = polytope.dimension
     step = scale // q
@@ -253,10 +274,7 @@ def _contained_placements(
     # A row's spread s fits the box width w iff c * s <= w, i.e. s <= w // c.
     limits = [width // c_scaled for width in widths]
 
-    # The translations depend on the matrix only through its slacks, and
-    # far fewer slack vectors than matrices occur, so each is scanned once.
-    translations: dict[tuple, list] = {}
-    placements = []
+    families: dict[tuple, tuple] = {}
     for matrix in matrices:
         # Quick prune: the simplex's own extent must fit in the box.
         if any(
@@ -269,9 +287,8 @@ def _contained_placements(
             beta - c_scaled * max(0, *[sum(map(mul, nu, col)) for col in columns])
             for nu, beta in zip(normals, betas)
         )
-        taus = translations.get(slacks)
-        if taus is None:
-            taus = translations[slacks] = []
+        if slacks not in families:
+            taus = []
             for prefix, dots in prefixes:
                 lo_t, hi_t = last_lo, last_hi
                 for dot, slack, c in zip(dots, slacks, lasts):
@@ -287,9 +304,9 @@ def _contained_placements(
                     k0 = -((last_lo - lo_t) // step)
                     k1 = (hi_t - last_lo) // step
                     taus += [(*prefix, last_lo + k * step) for k in range(k0, k1 + 1)]
-        if taus:
-            placements.append((matrix, taus))
-    return placements
+            families[slacks] = (taus, [])
+        families[slacks][1].append(matrix)
+    return [family for family in families.values() if family[0]]
 
 
 def _primitive(vector) -> tuple[int, ...] | None:
@@ -303,9 +320,10 @@ def _primitive(vector) -> tuple[int, ...] | None:
 def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
     """Two placements with disjoint interiors, one from each list, or None.
 
-    `first` and `second` come from `_contained_placements` at the integer
-    `scale`, with capacities `cap_a` and `cap_b`; when `second` is
-    `first`, both come from that list.  None is a complete scan.
+    `first` and `second` are (taus, matrices) families, as from
+    `_contained_placements` at the integer `scale`, with capacities `cap_a`
+    and `cap_b`; when `second` is `first`, both come from that list.  None
+    is a complete scan.
 
     Convex bodies A and B have disjoint interiors iff a facet normal u of
     A - B weakly separates them, max u.A <= min u.B (the separating-axis
@@ -316,42 +334,33 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
     capacity c spans u.tau + c [min(0, u.M e_j), max(0, u.M e_j)]; the
     lists pack iff for some u the lowest max in `first` is at most the
     highest min in `second`.  A simplex has min < max along u, so when one
-    placement holds both extremes (or is paired with itself) u fails.
+    placement holds both extremes (or is paired with itself) u fails; a
+    simplex listed twice, under two matrices, costs work but no answer.
 
-    Deterministic rule: the first u of sorted U that passes, then the
-    first placement in list order (matrices, then taus) at each extreme.
-    A matrix with the column set of an earlier one (an even column
-    permutation: the same simplex) and the same taus list is skipped.
+    Deterministic rule: the first u of sorted U that passes, then at each
+    extreme the lexicographically smallest matrix, with its first
+    translation in list order.
     """
-    columns: dict[tuple, int] = {}
-
-    def families(groups) -> dict:
-        # Per taus list (by id): the taus, its matrices' column indices by
-        # position, the (position, matrix) members and the column sets seen.
-        out: dict[int, tuple] = {}
-        for position, (matrix, taus) in enumerate(groups):
-            cols = tuple(zip(*matrix))
-            _, index, members, seen = out.setdefault(
-                id(taus), (taus, [[] for _ in cols], [], set())
-            )
-            if frozenset(cols) not in seen:
-                seen.add(frozenset(cols))
-                for slot, col in zip(index, cols):
-                    slot.append(columns.setdefault(col, len(columns)))
-                members.append((position, matrix))
-        return out
-
-    families_a = families(first)
-    families_b = families_a if second is first else families(second)
-    if not families_a or not families_b:
+    if not first or not second:
         return None
-    distinct = list(columns)
+    columns: dict[tuple, int] = {}
+    # Per family: its taus, its matrices and, per column slot, the matrices'
+    # column indices into `columns`.  `first` leads, `second` ends the list.
+    families = [
+        (taus, matrices, [
+            [columns.setdefault(col, len(columns)) for col in slot]
+            for slot in zip(*(zip(*matrix) for matrix in matrices))
+        ])
+        for taus, matrices in (first if second is first else first + second)
+    ]
+    families_a, families_b = families[: len(first)], families[-len(second) :]
     edges = set()
-    for _, index, _, _ in (*families_a.values(), *families_b.values()):
-        for member in zip(*index):
-            cols = [distinct[i] for i in member]
+    for _, matrices, _ in families:
+        for matrix in matrices:
+            cols = list(zip(*matrix))
             cols += [tuple(map(sub, p, r)) for p, r in combinations(cols, 2)]
             edges.update(map(_primitive, cols))
+    distinct = list(columns)
     directions = set()
     for rows in combinations(sorted(edges), len(distinct[0]) - 1):
         u = _primitive(cofactor_vector(rows))
@@ -359,15 +368,13 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
             directions.update((u, tuple(map(neg, u))))
 
     c_a, c_b = int(cap_a * scale), int(cap_b * scale)
-    tau_lists = {key: family[0] for key, family in (families_a | families_b).items()}
     for u in sorted(directions):
         dots = [sum(map(mul, u, col)) for col in distinct]
-        lows, highs = {}, {}
-        for key, taus in tau_lists.items():
-            values = [sum(map(mul, u, tau)) for tau in taus]
-            lows[key], highs[key] = min(values), -max(values)
+        values = [[sum(map(mul, u, tau)) for tau in taus] for taus, _, _ in families]
         # The highest min along u is minus the lowest max along -u; it
         # bounds the families of `first` worth a look.
+        highs = [-max(v) for v in values[-len(second) :]]
+        lows = [min(v) for v in values[: len(first)]]
         b = _lowest_max(families_b, highs, [-d for d in dots], c_b)
         a = _lowest_max(families_a, lows, dots, c_a, -b[0])
         if a is not None and a[0] <= -b[0]:
@@ -376,15 +383,15 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
 
 
 def _lowest_max(families, lows, dots, capacity: int, bound=math.inf):
-    """(value, position, matrix, taus) of the placement with the lowest max
-    along u, the first in list order on ties, among the families whose
-    lowest u.tau is at most `bound` (others have no max below it)."""
+    """(value, matrix, taus) of the placement with the lowest max along u,
+    the smaller matrix on ties, among the families whose lowest u.tau (in
+    `lows`) is at most `bound` (others have no max below it)."""
     best = None
-    for key, (taus, index, members, _) in families.items():
-        if lows[key] <= bound:
-            heights = list(map(max, repeat(0), *[map(dots.__getitem__, slot) for slot in index]))
-            i = heights.index(min(heights))
-            found = (lows[key] + capacity * heights[i], *members[i], taus)
+    for (taus, matrices, index), low in zip(families, lows):
+        if low <= bound:
+            heights = map(max, repeat(0), *[map(dots.__getitem__, slot) for slot in index])
+            height, matrix = min(zip(heights, matrices))
+            found = (low + capacity * height, matrix, taus)
             if best is None or found[:2] < best[:2]:
                 best = found
     return best
@@ -392,7 +399,7 @@ def _lowest_max(families, lows, dots, capacity: int, bound=math.inf):
 
 def _placement(capacity, found, u, scale, sign=1) -> SimplexImage:
     # The found matrix with its first translation at the lowest sign * u.tau.
-    _, _, matrix, taus = found
+    _, matrix, taus = found
     tau = min(taus, key=lambda t: sign * sum(map(mul, u, t)))
     translation = tuple(Fraction(t, scale) for t in tau)
     return SimplexImage(capacity, SpecialAffineTransform(matrix, translation))
@@ -415,10 +422,16 @@ def search_two_balls(
     a proof for its grid.
     """
     polytope = moment_polytope(domain)
-    # Refuses a too-large enumeration before doing any of it.
-    matrices = _unimodular_matrices(polytope.dimension, config.matrix_entry_bound)
     box = polytope.bounding_box()  # raises for unbounded input
     q = config.translation_grid
+    points = math.prod(math.floor((hi - lo) * q) + 1 for lo, hi in box)
+    if points > GRID_BUDGET:
+        raise ValueError(
+            f"translation grid of step 1/{q} has {points} points on the "
+            f"bounding box, above the budget of {GRID_BUDGET}"
+        )
+    # Refuses a too-large enumeration before doing any of it.
+    matrices = _unimodular_matrices(polytope.dimension, config.matrix_entry_bound)
     # A split's scale is the lcm of q, these and its two capacities'
     # denominators, so that both placement lists share one integer grid.
     denominators = [beta.denominator for _, beta in polytope.constraints]

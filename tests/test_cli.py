@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcap import packing, serialize
+from symcap import packing, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.cli import (
     EXIT_OK,
@@ -107,6 +107,21 @@ def test_pack_search_3d_golden_bytes(capsys):
 
 
 @pytest.mark.parametrize(
+    "domain,golden",
+    [
+        ("polydisk:1,1,2", "pack_search_polydisk_1_1_2.json"),
+        ("ellipsoid:1,1,1", "pack_search_ellipsoid_1_1_1.json"),
+    ],
+)
+def test_pack_search_3d_grid_4_golden_bytes(domain, golden, capsys):
+    # Column-rotated twins of one simplex tie in these searches; the
+    # certificates were pinned while the enumeration still listed them.
+    path = Path(__file__).parent / "data" / golden
+    assert run(["pack", "--domain", domain, "--search", "--grid", "4", "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
     "domain,bound",
     [("ellipsoid:1,2,3", "50"), ("ellipsoid:1,2", "50"), ("ellipsoid:1,1,1,1", "2")],
 )
@@ -116,6 +131,21 @@ def test_pack_search_over_budget_exits_3(domain, bound, capsys, monkeypatch):
 
     monkeypatch.setattr(packing, "cofactor_vector", enumeration_started)
     argv = ["pack", "--domain", domain, "--search", "--matrix-bound", bound]
+    assert run(argv) == EXIT_PRECONDITION
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "domain,grid",
+    [("ellipsoid:1,2,7", "100"), ("ellipsoid:1,2", "1000"), ("polydisk:1,1", "1000000")],
+)
+def test_pack_search_over_grid_budget_exits_3(domain, grid, capsys, monkeypatch):
+    def search_started(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(packing, "_unimodular_matrices", search_started)
+    monkeypatch.setattr(packing, "_contained_placements", search_started)
+    argv = ["pack", "--domain", domain, "--search", "--grid", grid]
     assert run(argv) == EXIT_PRECONDITION
     assert "budget" in capsys.readouterr().err
 
@@ -368,6 +398,17 @@ def test_spectrum_recap(capsys):
         ["spectrum", "--profile", "s_a:a=1/4", "--space", "cpn:1", "--recap", "1"]
     ) == EXIT_OK
     assert capsys.readouterr().out == "{-5/4, -1/4, 3/4, 7/4}\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--norm"]])
+def test_spectrum_recap_over_budget_exits_3(extra, capsys, monkeypatch):
+    def recapping_started(*args, **kwargs):
+        raise AssertionError("the recapping started")
+
+    monkeypatch.setattr(spectra, "replace", recapping_started)
+    argv = ["spectrum", "--profile", "k_a:a=1/2", "--space", "cpn:1", "--recap", "100000000"]
+    assert run(argv + extra) == EXIT_PRECONDITION
+    assert "budget" in capsys.readouterr().err
 
 
 def test_plot_outputs_svg(capsys):

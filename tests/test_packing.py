@@ -1,6 +1,7 @@
+import functools
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -249,27 +250,64 @@ def test_search_dimension_cap():
         search_two_balls(ellipsoid(1, 1, 1, 1), SEARCH)
 
 
+def test_search_grid_budget_counts_the_box_grid(monkeypatch):
+    # The rectangle [0, 1] x [0, 2] holds 21 * 41 points of step 1/20.
+    monkeypatch.setattr(packing, "GRID_BUDGET", 861)
+    assert search_two_balls(_RECTANGLE, SearchConfig()).total == 2
+    monkeypatch.setattr(packing, "GRID_BUDGET", 860)
+    with pytest.raises(ValueError, match="budget"):
+        search_two_balls(_RECTANGLE, SearchConfig())
+
+
 # ---------------------------------------------------------------------------
 # SL_n(Z) enumeration and grid placements
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _even_permutations(n):
+    return [
+        p for p in permutations(range(n))
+        if int_det([[int(p[i] == j) for j in range(n)] for i in range(n)]) == 1
+    ]
+
+
+def _twins(matrix):
+    """The matrix under every even column permutation: one simplex image."""
+    return {
+        tuple(tuple(row[j] for j in p) for row in matrix)
+        for p in _even_permutations(len(matrix))
+    }
+
+
 @pytest.mark.parametrize("n,bound", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1)])
 def test_unimodular_matrices_match_brute_force(n, bound):
+    # Each SL_n(Z) matrix is an even column permutation of exactly one
+    # listed matrix, the lexicographically first of its class; the list is
+    # in lexicographic order.
     entries = range(-bound, bound + 1)
     brute = []
     for flat in product(entries, repeat=n * n):
         matrix = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
         if int_det(matrix) == 1:
             brute.append(matrix)
-    assert list(_unimodular_matrices(n, bound)) == brute
+    listed = _unimodular_matrices(n, bound)
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    members = set(listed)
+    assert members <= set(brute)
+    for matrix in brute:
+        twins = _twins(matrix)
+        assert twins & members == {min(twins)}
+    if n < 3:
+        assert list(listed) == brute
 
 
 def test_unimodular_matrices_sl3_bound_2():
     matrices = _unimodular_matrices(3, 2)
-    assert len(matrices) == 67704
+    assert len(matrices) == 22568
+    assert len({twin for matrix in matrices for twin in _twins(matrix)}) == 67704
     assert matrices[0] == ((-2, -2, -1), (-2, -1, -2), (-1, -2, 0))
-    assert matrices[-1] == ((2, 2, 1), (2, 1, 2), (1, 2, -1))
+    assert matrices[-1] == ((1, 2, 2), (2, 2, 1), (2, 1, -1))
 
 
 @pytest.mark.parametrize("n,bound", [(3, 3), (4, 1), (2, 50)])
@@ -286,9 +324,9 @@ def _scale(polytope, box, q, *capacities):
     return math.lcm(q, *(x.denominator for x in values))
 
 
-def _flat(groups):
-    """The (matrix, translation) placements of a grouped list, in order."""
-    return [(matrix, tau) for matrix, taus in groups for tau in taus]
+def _flat(families):
+    """The (matrix, translation) placements of a list of families, in order."""
+    return [(matrix, tau) for taus, matrices in families for matrix in matrices for tau in taus]
 
 
 def _grid(box, q):
@@ -320,12 +358,12 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
     box = polytope.bounding_box()
     matrices = _unimodular_matrices(*enumeration)
     if polytope.dimension == 3:
-        matrices = matrices[::37]  # a spread-out sample keeps the test fast
+        matrices = matrices[::12]  # a spread-out sample keeps the test fast
     for capacity in capacities:
         scale = _scale(polytope, box, q, capacity)
-        groups = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        families = _contained_placements(polytope, box, capacity, matrices, q, scale)
         found = {}
-        for matrix, tau in _flat(groups):
+        for matrix, tau in _flat(families):
             found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
         assert found
         for matrix, taus in found.items():
@@ -367,19 +405,25 @@ def test_contained_placements_ignore_a_larger_scale():
 
 
 def test_contained_placements_share_one_list_per_slack_vector():
-    # Matrices with the same column set have the same slacks, so their
-    # translations are one shared list; no matrix is listed without any.
+    # Matrices with the same slacks share one (taus, matrices) family.  No
+    # family is empty, and every matrix with a contained placement is in
+    # exactly one, with the translations it has on its own, in the order
+    # of the enumeration.
     polytope = moment_polytope(ellipsoid(1, 2, 3))
     box = polytope.bounding_box()
     scale = _scale(polytope, box, 2, F(1, 2))
-    groups = _contained_placements(polytope, box, F(1, 2), _unimodular_matrices(3, 1), 2, scale)
-    by_columns = {}
-    for matrix, taus in groups:
-        assert taus
-        by_columns.setdefault(frozenset(zip(*matrix)), []).append(taus)
-    assert any(len(lists) > 1 for lists in by_columns.values())
-    for lists in by_columns.values():
-        assert all(taus is lists[0] for taus in lists)
+    matrices = _unimodular_matrices(3, 1)
+    families = _contained_placements(polytope, box, F(1, 2), matrices, 2, scale)
+    assert all(taus and members for taus, members in families)
+    assert any(len(members) > 1 for _, members in families)
+    listed = [matrix for _, members in families for matrix in members]
+    assert len(listed) == len(set(listed))
+    for _, members in families:
+        assert list(members) == sorted(members, key=matrices.index)
+    family_of = {matrix: taus for taus, members in families for matrix in members}
+    for matrix in matrices:
+        alone = _contained_placements(polytope, box, F(1, 2), [matrix], 2, scale)
+        assert alone == ([(family_of[matrix], [matrix])] if matrix in family_of else [])
 
 
 def test_search_config_validation():
@@ -421,11 +465,12 @@ def _matrix(n):
 
 @st.composite
 def _probe(draw):
-    """(first, second) placement lists as `_contained_placements` groups
-    them, at scale 2: translations are halves in [-1, 1]^n and capacities
-    lie in {1/2, 1, 3/2}.  Groups may share a taus list, and in dimension
-    >= 3 a matrix may come twice, the second time with its first three
-    columns rotated (the same simplex)."""
+    """(first, second) placement lists of (taus, matrices) families, as
+    `_contained_placements` returns them, at scale 2: translations are
+    halves in [-1, 1]^n and capacities lie in {1/2, 1, 3/2}.  Matrices that
+    draw the same taus share a family, and in dimension >= 3 a matrix may
+    come twice, the second time with its first three columns rotated (the
+    same simplex)."""
     n = draw(st.integers(1, 4))
     point = st.tuples(*[st.integers(-2, 2)] * n)
     pool = draw(st.lists(st.lists(point, min_size=1, max_size=2, unique=True), min_size=1, max_size=2))
@@ -434,13 +479,13 @@ def _probe(draw):
         capacity = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
         # Dimension 4 takes a cofactor vector per triple of edge directions.
         picks = st.tuples(_matrix(n), st.integers(0, len(pool) - 1))
-        groups = []
+        families = {}
         for matrix, k in draw(st.lists(picks, min_size=1, max_size=3 if n < 4 else 1)):
-            groups.append((matrix, pool[k]))
+            matrices = families.setdefault(k, [])
+            matrices.append(matrix)
             if n >= 3 and draw(st.booleans()):
-                rotated = tuple((row[1], row[2], row[0], *row[3:]) for row in matrix)
-                groups.append((rotated, pool[k]))
-        return capacity, groups
+                matrices.append(tuple((row[1], row[2], row[0], *row[3:]) for row in matrix))
+        return capacity, [(pool[k], matrices) for k, matrices in families.items()]
 
     first = placements()
     second = first if draw(st.booleans()) else placements()
@@ -450,32 +495,32 @@ def _probe(draw):
 # Pairs of one-placement lists, at scale 2 as in `_probe`.
 # Separated only by the cross product of an edge of each.
 _EDGE_PAIR = (
-    (F(1), [(((-1, 0, -1), (-1, 1, -1), (0, 0, -1)), [(2, -2, -1)])]),
-    (F(1), [(((0, 1, 0), (0, -1, 1), (1, 0, 1)), [(0, 1, -2)])]),
+    (F(1), [([(2, -2, -1)], [((-1, 0, -1), (-1, 1, -1), (0, 0, -1))])]),
+    (F(1), [([(0, 1, -2)], [((0, 1, 0), (0, -1, 1), (1, 0, 1))])]),
 )
 # Separated only by an edge pair, with a vertex of one on the other's boundary.
 _TOUCHING_EDGE_PAIR = (
-    (F(1), [(((0, -1, 1), (0, -1, 0), (1, 1, -1)), [(-2, 2, -1)])]),
-    (F(1, 2), [(((-1, -1, 0), (1, 1, -1), (0, -1, -1)), [(-1, 0, -1)])]),
+    (F(1), [([(-2, 2, -1)], [((0, -1, 1), (0, -1, 0), (1, 1, -1))])]),
+    (F(1, 2), [([(-1, 0, -1)], [((-1, -1, 0), (1, 1, -1), (0, -1, -1))])]),
 )
 # Touching along a facet plane of the first.
 _TOUCHING_FACET_PAIR = (
-    (F(3, 2), [(((0, -1, 0), (1, 1, 0), (1, -1, 1)), [(1, 0, -1)])]),
-    (F(1, 2), [(((0, 0, 1), (0, 1, 0), (-1, 0, -1)), [(0, 0, 2)])]),
+    (F(3, 2), [([(1, 0, -1)], [((0, -1, 0), (1, 1, 0), (1, -1, 1))])]),
+    (F(1, 2), [([(0, 0, 2)], [((0, 0, 1), (0, 1, 0), (-1, 0, -1))])]),
 )
 
 
 @st.composite
 def _placement(draw, n):
-    """A one-placement list (capacity, [(matrix, [tau])]) at scale 2."""
+    """A one-placement list (capacity, [([tau], [matrix])]) at scale 2."""
     capacity = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
     tau = draw(st.tuples(*[st.integers(-2, 2)] * n))
-    return capacity, [(draw(_matrix(n)), [tau])]
+    return capacity, [([tau], [draw(_matrix(n))])]
 
 
-def _vertices(capacity, groups):
+def _vertices(capacity, families):
     """The integer vertices, at scale 2, of a one-placement list."""
-    ((matrix, (tau,)),) = groups
+    (((tau,), (matrix,)),) = families
     step = int(2 * capacity)
     return [tau, *(tuple(t + step * c for t, c in zip(tau, col)) for col in zip(*matrix))]
 
@@ -493,7 +538,7 @@ def test_separating_axis_test_matches_interiors_disjoint(pair):
     # in dimension 3 about 2 % of pairs are separated only by an edge pair.
     first, second = pair
     expected = interiors_disjoint(
-        *(_simplex(c, m, tau, 2) for c, groups in pair for m, tau in _flat(groups))
+        *(_simplex(c, m, tau, 2) for c, families in pair for m, tau in _flat(families))
     )
     assert (_find_disjoint_pair(*first, *second, 2) is not None) == expected
     assert (_find_disjoint_pair(*second, *first, 2) is not None) == expected
@@ -508,7 +553,7 @@ def test_edge_pairs_separate_what_facets_cannot():
         assert not any(max(p) <= min(q) for p, q in zip(zip(*a), zip(*b)))
         for nu, beta in inward_facets(a):
             assert max(sum(x * y for x, y in zip(nu, v)) for v in b) > beta
-    assert interiors_disjoint(*(_simplex(c, *_flat(groups)[0], 2) for c, groups in _EDGE_PAIR))
+    assert interiors_disjoint(*(_simplex(c, *_flat(fams)[0], 2) for c, fams in _EDGE_PAIR))
     assert _find_disjoint_pair(*first, *second, 2) is not None
 
 
@@ -519,7 +564,7 @@ def test_sweep_matches_interiors_disjoint(probe):
     # sweep finds a pair iff some pair of the lists (of two distinct
     # placements, for one list) has disjoint interiors by the LP.
     first, second = probe
-    flat = [[_simplex(c, m, tau, 2) for m, tau in _flat(groups)] for c, groups in probe]
+    flat = [[_simplex(c, m, tau, 2) for m, tau in _flat(families)] for c, families in probe]
     pairs = combinations(flat[0], 2) if second is first else product(*flat)
     expected = any(interiors_disjoint(a, b) for a, b in pairs)
     pair = _find_disjoint_pair(*first, *second, 2)
@@ -564,8 +609,8 @@ def test_scan_has_no_pair_budget():
         if disjoint is not None:
             break
     assert disjoint is not None
-    second = [(matrix, [tau]) for matrix, tau in overlapping + [disjoint]]
-    pair = _find_disjoint_pair(F(2), [(identity, [(0, 0)])], F(2), second, 1)
+    second = [([tau], [matrix]) for matrix, tau in overlapping + [disjoint]]
+    pair = _find_disjoint_pair(F(2), [([(0, 0)], [identity])], F(2), second, 1)
     assert pair == (triangle, _simplex(F(2), *disjoint))
 
 

@@ -116,6 +116,13 @@ def test_zero_profile_spectrum():
     assert action_spectrum(zero_profile()).spectrum == (F(0),)
 
 
+def test_recapping_budget():
+    # k_a on CP^1 has four orbits, so window k gives 4 (2k + 1) records.
+    assert len(action_spectrum(k_a(F(1, 2)), recapping_window=1249).orbits) == 9996
+    with pytest.raises(ValueError, match="budget"):
+        action_spectrum(k_a(F(1, 2)), recapping_window=1250)
+
+
 def test_recapping_window_validation():
     with pytest.raises(ValueError):
         action_spectrum(s_a(F(1, 4)), recapping_window=-1)
