@@ -143,10 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_system(args) -> RadialProfile | TwoBallSystem:
     name, params = parse_profile_spec(args.profile)
     space = parse_space(args.space)
-    if name != "zero":
-        params.setdefault("dim", space.dim)
     try:
-        system = build_profile(name, **params)
+        system = build_profile(name, space, **params)
     except TypeError as exc:
         raise ParseFailure(f"bad parameters for {name!r}: {exc}") from exc
     if system.space.kind != space.kind:
@@ -206,8 +204,7 @@ def _run_spectrum(args) -> str:
     report = action_spectrum(system, recapping_window=args.recap)
     payload = serialize.spectrum_report_to_json(report)
     if args.norm:
-        inverse = action_spectrum(system.negate(), recapping_window=args.recap)
-        analysis = spectral_norm_candidates(report, inverse)
+        analysis = spectral_norm_candidates(report)
         payload["norm_candidates"] = [fmt(c) for c in analysis["candidates"]]
         payload["norm_selected"] = fmt(analysis["selected"])
     if args.json:

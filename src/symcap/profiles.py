@@ -426,21 +426,20 @@ def two_ball(a, b, eta, mu, delta, dim: int = 1) -> TwoBallSystem:
     )
 
 
-_BUILDERS = {
-    "bump": bump,
-    "reeb": reeb,
-    "reeb_composite": reeb_composite,
-    "s_a": s_a,
-    "k_a": k_a,
-    "t_s": t_s,
-    "two_ball": two_ball,
-    "zero": lambda **kw: zero_profile(),
-}
+def _sized(builder):
+    """A construction of fixed kind takes only the dimension of the space."""
+    return lambda space, **params: builder(**{"dim": space.dim, **params})
 
-def build_profile(name: str, **params) -> RadialProfile | TwoBallSystem:
-    """Build a named construction; see the module docstring for the catalog."""
+
+_BUILDERS = {f.__name__: _sized(f) for f in (bump, reeb, reeb_composite, s_a, k_a, t_s, two_ball)}
+_BUILDERS["zero"] = zero_profile  # the identity lives on C^n and CP^n alike
+
+
+def build_profile(name: str, space: Space | None = None, **params) -> RadialProfile | TwoBallSystem:
+    """Build a named construction on `space` (default C^1); an explicit
+    ``dim`` wins.  See the module docstring for the catalog."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown construction {name!r}") from None
-    return builder(**params)
+    return builder(space or Space(CN, 1), **params)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from symcap import packing, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
+from symcap.profiles import CN, CPN, Space
 from symcap.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     ParseFailure,
+    _build_system,
     parse_domain,
     parse_profile_spec,
     parse_space,
@@ -391,6 +394,48 @@ def test_spectrum_norm(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["norm_selected"] == "169/100"
     assert "179/200" in data["norm_candidates"]
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (
+            ["k_a:a=1/2", "--space", "cpn:1", "--recap", "3", "--json"],
+            "spectrum_norm_k_a_cpn1_recap3.json",
+        ),
+        (
+            ["t_s:a=1/2,eps=1/10,s=1/3", "--space", "cpn:1", "--recap", "2", "--json"],
+            "spectrum_norm_t_s_cpn1_recap2.json",
+        ),
+        (["two_ball:a=1,b=1,eta=9/10,mu=4/5,delta=1/100", "--json"], "spectrum_norm_two_ball.json"),
+        (["bump:a=1,eta=9/10,delta=1/100"], "spectrum_norm_bump.txt"),
+    ],
+)
+def test_spectrum_norm_golden_bytes(argv, golden, capsys):
+    path = Path(__file__).parent / "data" / golden
+    assert run(["spectrum", "--norm", "--profile"] + argv) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+def test_spectrum_norm_at_largest_recapping_window(capsys):
+    # 9,996 orbit records, the most the recapping budget admits; the
+    # spectrum is two runs of 2,499 values each.
+    argv = ["spectrum", "--profile", "k_a:a=1/2", "--space", "cpn:1", "--recap", "1249"]
+    assert run(argv + ["--norm", "--json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["norm_candidates"] == [str(F(j, 2)) for j in range(1, 4998)]
+    assert data["norm_selected"] == "4997/2"
+
+
+@pytest.mark.parametrize("space", [Space(CN, 2), Space(CPN, 1), Space(CPN, 3)])
+def test_spectrum_zero_profile_follows_space(space, capsys):
+    argv = ["spectrum", "--profile", "zero", "--space", f"{space.kind}:{space.dim}"]
+    assert run(argv + ["--norm"]) == EXIT_OK
+    assert capsys.readouterr().out == "{0}\nnorm 0\n"
+    args = argparse.Namespace(profile="zero", space=argv[-1])
+    assert _build_system(args).space == space
+    # Like every construction, zero refuses parameters it does not take.
+    assert run(["spectrum", "--profile", "zero:a=1"]) == EXIT_PARSE
 
 
 def test_spectrum_recap(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap.profiles import (
+    CPN,
     bump,
     k_a,
     reeb,
@@ -15,12 +16,13 @@ from symcap.profiles import (
     zero_profile,
 )
 from symcap.spectra import (
+    RECAPPING_GENERATOR,
+    SpectrumReport,
     action_spectrum,
     deformation_family_check,
     find_orbits,
     area_splitting_residual,
     max_action_check,
-    negate_spectrum,
     reeb_slope_law,
     spectral_norm_candidates,
 )
@@ -128,11 +130,18 @@ def test_recapping_window_validation():
         action_spectrum(s_a(F(1, 4)), recapping_window=-1)
 
 
+def _windows(system):
+    """Recapping windows worth checking: 0-3 on CP^n, only 0 on C^n."""
+    return range(4) if system.space.kind == CPN else range(1)
+
+
 @pytest.mark.parametrize("system", _systems(), ids=lambda s: s.construction)
 def test_negation_property(system):
-    forward = action_spectrum(system).spectrum
-    inverse = negate_spectrum(system).spectrum
-    assert inverse == tuple(sorted(-x for x in forward))
+    # spectral_norm_candidates relies on spec_w(-h) = -spec_w(h).
+    for window in _windows(system):
+        forward = action_spectrum(system, window).spectrum
+        inverse = action_spectrum(system.negate(), window).spectrum
+        assert inverse == tuple(sorted(-x for x in forward))
 
 
 @given(st.fractions(min_value="1/5", max_value=5))
@@ -151,35 +160,51 @@ def test_conformal_scaling_of_spectra(lam):
 
 def test_two_ball_candidates():
     system = two_ball(1, 1, F(9, 10), F(4, 5), F(1, 100))
-    analysis = spectral_norm_candidates(
-        action_spectrum(system), action_spectrum(system.negate())
-    )
+    analysis = spectral_norm_candidates(action_spectrum(system))
     assert set(analysis["candidates"]) == {F(179, 200), F(159, 200), F(169, 100)}
     assert analysis["selected"] == F(169, 100)
 
 
 def test_bump_candidate_selection():
     profile = bump(1, F(9, 10), F(1, 100))
-    analysis = spectral_norm_candidates(
-        action_spectrum(profile), action_spectrum(profile.negate())
-    )
+    analysis = spectral_norm_candidates(action_spectrum(profile))
     assert analysis["selected"] == F(179, 200)
 
 
 def test_zero_profile_selects_zero():
     profile = zero_profile()
-    analysis = spectral_norm_candidates(
-        action_spectrum(profile), action_spectrum(profile.negate())
-    )
+    analysis = spectral_norm_candidates(action_spectrum(profile))
     assert analysis["selected"] == 0
 
 
-def test_candidates_reject_mismatched_reports():
-    with pytest.raises(ValueError):
-        spectral_norm_candidates(
-            action_spectrum(bump(1, F(9, 10), F(1, 100))),
-            action_spectrum(bump(1, F(1, 2), F(1, 100))),
-        )
+def _gaps(spectrum):
+    """Brute-force reference: every positive difference, or (0,) if none."""
+    gaps = {x - y for x in spectrum for y in spectrum if x - y > 0}
+    return tuple(sorted(gaps)) or (F(0),)
+
+
+@st.composite
+def _spectra_with_runs(draw):
+    """Sorted rationals holding runs x, x + 1, ... of the recapping step."""
+    values = set(draw(st.lists(st.fractions(-3, 3, max_denominator=6), max_size=6)))
+    for start in draw(st.lists(st.fractions(-3, 3, max_denominator=6), max_size=3)):
+        length = draw(st.integers(1, 12))
+        values.update(start + k * RECAPPING_GENERATOR for k in range(length))
+    return tuple(sorted(values))
+
+
+@given(_spectra_with_runs())
+@settings(max_examples=200, deadline=None)
+def test_candidates_match_brute_force_on_runs(spectrum):
+    report = SpectrumReport(orbits=(), spectrum=spectrum)
+    assert spectral_norm_candidates(report)["candidates"] == _gaps(spectrum)
+
+
+@pytest.mark.parametrize("system", _systems(), ids=lambda s: s.construction)
+def test_candidates_match_brute_force_on_systems(system):
+    for window in _windows(system):
+        report = action_spectrum(system, window)
+        assert spectral_norm_candidates(report)["candidates"] == _gaps(report.spectrum)
 
 
 def test_max_action_check():
