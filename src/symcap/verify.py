@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,15 +319,30 @@ def oracle_orbit_match(
     Scans [0, R] in steps, bisects each bracketed root of h'(r) - k to
     `tol`, and requires a matching exact radius (or covering plateau)
     within `tol` — and vice versa for the isolated exact radii.
+
+    The slope at a float r is ``c1 + 2.0 * c2 * r`` with the piece's
+    coefficients as floats; `_piece_index` finds the piece by bisecting
+    a table of the breakpoints as floats.  Pieces are closed at both
+    ends and the left one wins at a breakpoint, as in
+    `RadialProfile.piece_at`.  The exact lookup that the table stands
+    in for, ``piece_at(_clamp_rational(r))``, moves r by at most about
+    5e-13 before comparing it with the breakpoints.  So the two agree
+    wherever r is farther than `_EXACT_WINDOW` from every float
+    breakpoint, and inside that window the table defers to the exact
+    lookup: each sample lands on the same piece as the exact lookup
+    puts it on, e.g. r = 0.35000000000000003 at the kink 7/20 of
+    ``t_s``, which rounds onto the left piece.
     """
     last = profile.pieces[-1]
     r_max = float(last.hi) if last.hi is not None else float(last.lo) + 2.0
     r_max = max(r_max, 1.0)
 
+    piece_index = _piece_index(profile)
+    coeffs = [(float(c1), float(c2)) for _, c1, c2 in (p.coeffs for p in profile.pieces)]
+
     def deriv(r: float) -> float:
-        piece = profile.piece_at(_clamp_rational(r, last))
-        _, c1, c2 = piece.coeffs
-        return float(c1) + 2.0 * float(c2) * r
+        c1, c2 = coeffs[piece_index(r)]
+        return c1 + 2.0 * c2 * r
 
     slopes = [deriv(i * step) for i in range(int(r_max / step) + 1)]
     k_lo = math.floor(min(slopes))
@@ -333,7 +350,10 @@ def oracle_orbit_match(
 
     exact = find_orbits(profile)
     exact_radii = [float(o.radius) for o in exact if o.radius is not None]
-    plateaus = [o.interval for o in exact if o.locus == "plateau"]
+    plateaus = [
+        (float(lo) - 10 * tol, math.inf if hi is None else float(hi) + 10 * tol)
+        for lo, hi in (o.interval for o in exact if o.locus == "plateau")
+    ]
 
     found: list[float] = []
     for k in range(k_lo, k_hi + 1):
@@ -356,11 +376,7 @@ def oracle_orbit_match(
 
     for root in found:
         near_exact = any(abs(root - r) <= 10 * tol for r in exact_radii)
-        in_plateau = any(
-            float(lo) - 10 * tol <= root
-            and (hi is None or root <= float(hi) + 10 * tol)
-            for lo, hi in plateaus
-        )
+        in_plateau = any(lo <= root <= hi for lo, hi in plateaus)
         if not (near_exact or in_plateau):
             return False, f"oracle root {root} has no exact counterpart"
     for r in exact_radii:
@@ -369,6 +385,29 @@ def oracle_orbit_match(
         if not any(abs(root - r) <= 10 * tol for root in found):
             return False, f"exact radius {r} missed by the oracle"
     return True, ""
+
+
+# Half-width of the band around each float breakpoint where `_piece_index`
+# asks the exact lookup; far wider than the 5e-13 that `_clamp_rational`
+# moves a float by.
+_EXACT_WINDOW = 1e-9
+
+
+def _piece_index(profile: RadialProfile) -> Callable[[float], int]:
+    """The index of the piece that ``piece_at(_clamp_rational(r))`` picks."""
+    pieces = profile.pieces
+    last = pieces[-1]
+    breaks = [float(piece.hi) for piece in pieces[:-1]]
+
+    def index(r: float) -> int:
+        i = bisect_left(breaks, r)
+        if (i < len(breaks) and breaks[i] - r <= _EXACT_WINDOW) or (
+            i > 0 and r - breaks[i - 1] <= _EXACT_WINDOW
+        ):
+            return pieces.index(profile.piece_at(_clamp_rational(r, last)))
+        return i
+
+    return index
 
 
 def _clamp_rational(r: float, last) -> Fraction:
