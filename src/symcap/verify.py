@@ -267,17 +267,22 @@ def case_negation() -> CaseResult:
     return _predicate_case("spectrum(-h) = -spectrum(h) on all constructions", True)
 
 
-def case_orbit_oracle() -> CaseResult:
+def _sample_profiles() -> list[RadialProfile]:
+    """The profiles of `_sample_systems`, both halves of each two-ball system."""
+    profiles = []
     for system in _sample_systems():
-        profiles = (
-            [system.positive, system.negative]
-            if isinstance(system, TwoBallSystem)
-            else [system]
-        )
-        for profile in profiles:
-            ok, detail = oracle_orbit_match(profile)
-            if not ok:
-                return _predicate_case("orbit oracle", False, f"{profile.construction}: {detail}")
+        if isinstance(system, TwoBallSystem):
+            profiles += [system.positive, system.negative]
+        else:
+            profiles.append(system)
+    return profiles
+
+
+def case_orbit_oracle() -> CaseResult:
+    for profile in _sample_profiles():
+        ok, detail = oracle_orbit_match(profile)
+        if not ok:
+            return _predicate_case("orbit oracle", False, f"{profile.construction}: {detail}")
     return _predicate_case("exact orbit radii match the grid-scan oracle", True)
 
 
@@ -320,18 +325,14 @@ def oracle_orbit_match(
     `tol`, and requires a matching exact radius (or covering plateau)
     within `tol` — and vice versa for the isolated exact radii.
 
-    The slope at a float r is ``c1 + 2.0 * c2 * r`` with the piece's
-    coefficients as floats; `_piece_index` finds the piece by bisecting
-    a table of the breakpoints as floats.  Pieces are closed at both
-    ends and the left one wins at a breakpoint, as in
-    `RadialProfile.piece_at`.  The exact lookup that the table stands
-    in for, ``piece_at(_clamp_rational(r))``, moves r by at most about
-    5e-13 before comparing it with the breakpoints.  So the two agree
-    wherever r is farther than `_EXACT_WINDOW` from every float
-    breakpoint, and inside that window the table defers to the exact
-    lookup: each sample lands on the same piece as the exact lookup
-    puts it on, e.g. r = 0.35000000000000003 at the kink 7/20 of
-    ``t_s``, which rounds onto the left piece.
+    The slope at a float r is ``c1 + 2.0 * c2 * r`` on the piece that
+    `_piece_index` finds by bisecting the breakpoints as floats.  The
+    exact lookup ``piece_at(_clamp_rational(r))`` rounds r by at most
+    about 5e-13, so the two pick the same piece wherever r is farther
+    than `_EXACT_WINDOW` from every float breakpoint; nearer, the table
+    asks the exact lookup.  Every sample thus lands on the exact
+    lookup's piece, the left one at a breakpoint: r = 0.35000000000000003,
+    one ulp right of the float of t_s's kink 7/20, rounds onto the kink.
     """
     last = profile.pieces[-1]
     r_max = float(last.hi) if last.hi is not None else float(last.lo) + 2.0

@@ -6,20 +6,11 @@ from fractions import Fraction
 import pytest
 
 from symcap import verify
-from symcap.profiles import RadialProfile, TwoBallSystem, bump, reeb_composite, t_s
+from symcap.profiles import RadialProfile, bump, reeb_composite, t_s
 from symcap.spectra import OrbitRecord, find_orbits
 
 F = Fraction
 STEP = 1e-4  # the oracle's default sample step
-
-
-def _profiles():
-    for system in verify._sample_systems():
-        if isinstance(system, TwoBallSystem):
-            yield system.positive
-            yield system.negative
-        else:
-            yield system
 
 
 def _exact_index(profile: RadialProfile, r: float) -> int:
@@ -39,7 +30,7 @@ def _sample_indices(profile: RadialProfile) -> set[int]:
     return indices
 
 
-@pytest.mark.parametrize("profile", list(_profiles()), ids=lambda p: p.construction)
+@pytest.mark.parametrize("profile", verify._sample_profiles(), ids=lambda p: p.construction)
 def test_piece_table_picks_the_exact_piece(profile):
     index = verify._piece_index(profile)
     for i in sorted(_sample_indices(profile)):
