@@ -148,23 +148,6 @@ def special_ball_values(a) -> dict:
     }
 
 
-def cpn_two_ball_bound() -> Fraction:
-    """The two-ball capacity of projective space, normalized line area 1."""
-    return Fraction(1)
-
-
-def cpn_two_ball_report(eps) -> BoundReport:
-    eps = rat(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("need 0 < eps < 1/2")
-    steps = (
-        BoundStep("packing lower bound", "two balls of capacity 1/2 - eps each", 1 - 2 * eps),
-        BoundStep("two-ball capacity below spectral diameter", "c_2B <= gamma", Fraction(1)),
-        BoundStep("projective-space diameter", "gamma <= 1", Fraction(1)),
-    )
-    return BoundReport(1 - 2 * eps, Fraction(1), steps)
-
-
 # ---------------------------------------------------------------------------
 # The five-step ball bound
 # ---------------------------------------------------------------------------

@@ -23,10 +23,6 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions."""
 
 
-class DegenerateSimplexError(ValueError):
-    """A simplex has affinely dependent vertices."""
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -392,10 +388,6 @@ class SimplexImage:
         return self.transform.dimension
 
 
-def standard_simplex(capacity, n: int) -> SimplexImage:
-    return SimplexImage(rat(capacity), SpecialAffineTransform.identity(n))
-
-
 def simplex_vertices(simplex: SimplexImage) -> list[Vector]:
     a = rat(simplex.capacity)
     g = simplex.transform
@@ -421,14 +413,13 @@ def _integer_points(points) -> list[tuple[int, ...]]:
     return [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in points]
 
 
-def _check_full_dimensional(vertices) -> None:
-    v0, *rest = _integer_points(vertices)
-    if int_det([[b - a for a, b in zip(v0, v)] for v in rest]) == 0:
-        raise DegenerateSimplexError("simplex has zero volume")
-
-
 def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     """True iff the open simplices do not meet.
+
+    Both simplices are full-dimensional, so no degeneracy check is needed:
+    the edge vectors of a SimplexImage are the columns of c * M, with
+    c > 0 (checked by SimplexImage) and det M = 1 (checked by
+    SpecialAffineTransform), so their determinant is c^n != 0.
 
     Integer pre-checks (bounding boxes, facet hyperplanes) on the vertices
     at a common scale settle most pairs.  The rest is decided exactly: the
@@ -441,8 +432,6 @@ def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     n = s1.dimension
     v = simplex_vertices(s1)
     w = simplex_vertices(s2)
-    _check_full_dimensional(v)
-    _check_full_dimensional(w)
 
     k = n + 1
     scaled = _integer_points(v + w)

@@ -149,32 +149,6 @@ class RadialProfile:
             smooth=self.smooth,
         )
 
-    def scale_conformal(self, factor) -> "RadialProfile":
-        """lam * h(r / lam): the profile of the conformally rescaled system."""
-        lam = rat(factor)
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
-        pieces = []
-        for p in self.pieces:
-            c0, c1, c2 = p.coeffs
-            pieces.append(
-                Piece(
-                    p.lo * lam,
-                    None if p.hi is None else p.hi * lam,
-                    (c0 * lam, c1, c2 / lam),
-                )
-            )
-        space = self.space
-        if space.kind == CPN:
-            raise ValueError("conformal scaling only makes sense on C^n")
-        return RadialProfile(
-            tuple(pieces),
-            space,
-            construction=f"scaled({self.construction})",
-            params=self.params,
-            smooth=self.smooth,
-        )
-
 
 @dataclass(frozen=True)
 class TwoBallSystem:
@@ -212,24 +186,6 @@ class CutoffSpline:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-
-    def value(self, x) -> Fraction:
-        x = rat(x)
-        d = self.delta
-        if x <= 0:
-            return d / 2
-        if x >= d:
-            return x
-        return d / 2 + x * x / (2 * d)
-
-    def derivative(self, x) -> Fraction:
-        x = rat(x)
-        d = self.delta
-        if x <= 0:
-            return _Z
-        if x >= d:
-            return Fraction(1)
-        return x / d
 
     def segments(self) -> list[tuple[Fraction | None, Fraction | None, Coeffs]]:
         """(lo, hi, coeffs) in x, with None for the two unbounded ends."""

@@ -9,9 +9,16 @@ factors, represented by `math.inf`.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 INF = math.inf
+
+# Fraction computes 10**e for a decimal exponent e, so an unbounded e lets
+# a short string cost minutes.  4300 is Python's int-to-string digit
+# limit: past it `fmt` could not print the value anyway.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
 
 RationalLike = Fraction | int | str | float
 
@@ -20,7 +27,8 @@ def rat(value: RationalLike) -> Fraction | float:
     """Parse an exact rational from a string, an int, or a Fraction.
 
     A string is anything `Fraction` reads exactly: "p/q", an integer, or a
-    decimal such as "0.01", which is 1/100 with no rounding.  The strings
+    decimal such as "0.01", which is 1/100 with no rounding.  A decimal
+    exponent above MAX_EXPONENT in magnitude is refused.  The strings
     "inf" and "oo" (and math.inf itself) yield the +inf sentinel.  Floats
     other than inf are rejected: the float 0.01 is not 1/100, and this
     package never rounds.
@@ -40,6 +48,9 @@ def rat(value: RationalLike) -> Fraction | float:
     text = value.strip()
     if text in ("inf", "+inf", "oo"):
         return INF
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

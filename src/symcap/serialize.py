@@ -1,8 +1,10 @@
 """JSON encoding of the package's value types.
 
 Rationals are rendered as "p/q" strings (never decimals), vectors as
-arrays, transforms as {"matrix": [[...]], "translation": [...]}.  Every
-report re-parses to the identical value.
+arrays, transforms as {"matrix": [[...]], "translation": [...]}.
+Certificates and their parts (domains, polytopes, simplices, transforms,
+vectors) round-trip: each re-parses to the identical value.  Capacity values and spectrum reports
+are output only; no verb reads them back.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .capacities import BoundReport, BoundStep, CapacityValue
+from .capacities import CapacityValue
 from .exactgeom import (
     POLYTOPE,
     Polytope,
@@ -20,17 +22,8 @@ from .exactgeom import (
     simplex_vertices,
 )
 from .packing import PackingCertificate, verify_certificate
-from .profiles import Piece, RadialProfile, Space, TwoBallSystem
 from .rationals import fmt, rat
 from .spectra import OrbitRecord, SpectrumReport
-
-
-def rational_to_json(value) -> str:
-    return fmt(value)
-
-
-def rational_from_json(text: str) -> Fraction:
-    return rat(text)
 
 
 def vector_to_json(vector) -> list[str]:
@@ -102,25 +95,6 @@ def capacity_to_json(value: CapacityValue) -> dict:
     }
 
 
-def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "lower": fmt(report.lower),
-        "upper": fmt(report.upper),
-        "steps": [
-            {"rule": s.rule, "detail": s.detail, "value": fmt(s.value)}
-            for s in report.steps
-        ],
-    }
-
-
-def bound_report_from_json(data) -> BoundReport:
-    return BoundReport(
-        rat(data["lower"]),
-        rat(data["upper"]),
-        tuple(BoundStep(s["rule"], s["detail"], rat(s["value"])) for s in data["steps"]),
-    )
-
-
 def certificate_to_json(certificate: PackingCertificate) -> dict:
     return {
         "domain": domain_to_json(certificate.domain),
@@ -137,52 +111,6 @@ def certificate_from_json(data) -> PackingCertificate:
         raise ValueError("a certificate holds exactly two simplices")
     return PackingCertificate(
         simplices, domain_from_json(data["domain"]), rat(data["total"])
-    )
-
-
-def profile_to_json(profile: RadialProfile | TwoBallSystem) -> dict:
-    if isinstance(profile, TwoBallSystem):
-        return {
-            "construction": profile.construction,
-            "params": {k: fmt(v) for k, v in profile.params},
-            "implants": [
-                profile_to_json(profile.positive),
-                profile_to_json(profile.negative),
-            ],
-        }
-    return {
-        "construction": profile.construction,
-        "params": {k: fmt(v) for k, v in profile.params},
-        "space": {"kind": profile.space.kind, "dim": profile.space.dim},
-        "smooth": profile.smooth,
-        "pieces": [
-            {
-                "lo": fmt(p.lo),
-                "hi": None if p.hi is None else fmt(p.hi),
-                "coeffs": [fmt(c) for c in p.coeffs],
-            }
-            for p in profile.pieces
-        ],
-    }
-
-
-def profile_from_json(data) -> RadialProfile:
-    if "implants" in data:
-        raise ValueError("two-ball systems deserialize via their implants")
-    pieces = tuple(
-        Piece(
-            rat(p["lo"]),
-            None if p["hi"] is None else rat(p["hi"]),
-            tuple(rat(c) for c in p["coeffs"]),
-        )
-        for p in data["pieces"]
-    )
-    return RadialProfile(
-        pieces,
-        Space(data["space"]["kind"], data["space"]["dim"]),
-        construction=data["construction"],
-        params=tuple(sorted((k, rat(v)) for k, v in data["params"].items())),
-        smooth=data["smooth"],
     )
 
 

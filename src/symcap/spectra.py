@@ -334,7 +334,11 @@ def reeb_slope_law(sigmas, delta) -> dict:
     return {"spectra": spectra, "slope": -unit, "ok": ok and pair_ok}
 
 
-def deformation_family_check(a, eps, s_samples, grid: int = 60) -> dict:
+# Denominator of the rational grid on [0, 1] that deformation_family_check scans.
+_DEFORMATION_GRID = 60
+
+
+def deformation_family_check(a, eps, s_samples) -> dict:
     """Pointwise checks of the family max(K_a, s K_a - eps) on a rational grid."""
     a, eps = rat(a), rat(eps)
     samples = sorted(rat(s) for s in s_samples)
@@ -342,7 +346,7 @@ def deformation_family_check(a, eps, s_samples, grid: int = 60) -> dict:
         raise ValueError("s samples must lie in [0, 1]")
     base = k_a(a)
     family = {s: t_s(a, eps, s) for s in samples}
-    points = [Fraction(j, grid) for j in range(grid + 1)]
+    points = [Fraction(j, _DEFORMATION_GRID) for j in range(_DEFORMATION_GRID + 1)]
     failures = []
     for x in points:
         k_val = base.value(x)
@@ -360,18 +364,17 @@ def deformation_family_check(a, eps, s_samples, grid: int = 60) -> dict:
                 failures.append(("T_0 outside [-eps, 0]", x, Fraction(0)))
         if Fraction(1) in family and values[Fraction(1)] != k_val:
             failures.append(("T_1 differs from K_a", x, Fraction(1)))
-    return {"ok": not failures, "failures": failures, "grid": grid}
+    return {"ok": not failures, "failures": failures}
 
 
-def area_splitting_residual(a, recapping_window: int = 1) -> Fraction:
+def area_splitting_residual(a) -> Fraction:
     """Residual of the two naturality constants against the total area.
 
     The loop generated by S_a contributes a at the divisor and 1 - a at
     the top fixed point; their sum minus the line area must vanish.
     """
     a = rat(a)
-    report = action_spectrum(s_a(a), recapping_window)
-    base = [o for o in report.orbits if o.recapping == 0 and o.locus.startswith("boundary")]
+    base = [o for o in find_orbits(s_a(a)) if o.locus.startswith("boundary")]
     min_critical = min(o.action for o in base)
     max_critical = max(o.action for o in base)
     divisor_constant = -min_critical

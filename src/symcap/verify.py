@@ -316,14 +316,17 @@ def case_deformation_family() -> CaseResult:
 # ---------------------------------------------------------------------------
 
 
-def oracle_orbit_match(
-    profile: RadialProfile, step: float = 1e-4, tol: float = 1e-9
-) -> tuple[bool, str]:
+# Grid step of the oracle's scan, and the width to which it bisects a root.
+_STEP = 1e-4
+_TOL = 1e-9
+
+
+def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     """Compare exact orbit radii against a float grid scan of h'(r) = k.
 
-    Scans [0, R] in steps, bisects each bracketed root of h'(r) - k to
-    `tol`, and requires a matching exact radius (or covering plateau)
-    within `tol` — and vice versa for the isolated exact radii.
+    Scans [0, R] in steps of `_STEP`, bisects each bracketed root of
+    h'(r) - k to `_TOL`, and requires a matching exact radius (or covering
+    plateau) within 10 `_TOL` — and vice versa for the isolated exact radii.
 
     The slope at a float r is ``c1 + 2.0 * c2 * r`` on the piece that
     `_piece_index` finds by bisecting the breakpoints as floats.  The
@@ -345,14 +348,14 @@ def oracle_orbit_match(
         c1, c2 = coeffs[piece_index(r)]
         return c1 + 2.0 * c2 * r
 
-    slopes = [deriv(i * step) for i in range(int(r_max / step) + 1)]
+    slopes = [deriv(i * _STEP) for i in range(int(r_max / _STEP) + 1)]
     k_lo = math.floor(min(slopes))
     k_hi = math.ceil(max(slopes))
 
     exact = find_orbits(profile)
     exact_radii = [float(o.radius) for o in exact if o.radius is not None]
     plateaus = [
-        (float(lo) - 10 * tol, math.inf if hi is None else float(hi) + 10 * tol)
+        (float(lo) - 10 * _TOL, math.inf if hi is None else float(hi) + 10 * _TOL)
         for lo, hi in (o.interval for o in exact if o.locus == "plateau")
     ]
 
@@ -361,29 +364,29 @@ def oracle_orbit_match(
         for i in range(len(slopes) - 1):
             f0, f1 = slopes[i] - k, slopes[i + 1] - k
             if f0 == 0.0:
-                found.append(i * step)
+                found.append(i * _STEP)
                 continue
             if f0 * f1 < 0:
-                lo, hi = i * step, (i + 1) * step
+                lo, hi = i * _STEP, (i + 1) * _STEP
                 for _ in range(80):
                     mid = (lo + hi) / 2
                     if (deriv(lo) - k) * (deriv(mid) - k) <= 0:
                         hi = mid
                     else:
                         lo = mid
-                    if hi - lo < tol:
+                    if hi - lo < _TOL:
                         break
                 found.append((lo + hi) / 2)
 
     for root in found:
-        near_exact = any(abs(root - r) <= 10 * tol for r in exact_radii)
+        near_exact = any(abs(root - r) <= 10 * _TOL for r in exact_radii)
         in_plateau = any(lo <= root <= hi for lo, hi in plateaus)
         if not (near_exact or in_plateau):
             return False, f"oracle root {root} has no exact counterpart"
     for r in exact_radii:
         if r > r_max:
             continue
-        if not any(abs(root - r) <= 10 * tol for root in found):
+        if not any(abs(root - r) <= 10 * _TOL for root in found):
             return False, f"exact radius {r} missed by the oracle"
     return True, ""
 

@@ -1,0 +1,56 @@
+"""Test-only profile helpers: pointwise cut-off values and conformal scaling.
+
+The package builds profiles from `CutoffSpline.segments()` alone; these
+helpers give the property tests an independent pointwise form of the
+spline and the conformally rescaled profile lam * h(r / lam).
+"""
+
+from fractions import Fraction
+
+from symcap.profiles import CN, CutoffSpline, Piece, RadialProfile
+from symcap.rationals import rat
+
+
+def cutoff_value(spline: CutoffSpline, x) -> Fraction:
+    """mu_delta(x): delta/2 below 0, identity above delta, quadratic between."""
+    x = rat(x)
+    d = spline.delta
+    if x <= 0:
+        return d / 2
+    if x >= d:
+        return x
+    return d / 2 + x * x / (2 * d)
+
+
+def cutoff_derivative(spline: CutoffSpline, x) -> Fraction:
+    x = rat(x)
+    d = spline.delta
+    if x <= 0:
+        return Fraction(0)
+    if x >= d:
+        return Fraction(1)
+    return x / d
+
+
+def scale_conformal(profile: RadialProfile, factor) -> RadialProfile:
+    """lam * h(r / lam): the profile of the conformally rescaled system on C^n."""
+    lam = rat(factor)
+    if lam <= 0:
+        raise ValueError("scale factor must be positive")
+    if profile.space.kind != CN:
+        raise ValueError("conformal scaling only makes sense on C^n")
+    pieces = tuple(
+        Piece(
+            p.lo * lam,
+            None if p.hi is None else p.hi * lam,
+            (p.coeffs[0] * lam, p.coeffs[1], p.coeffs[2] / lam),
+        )
+        for p in profile.pieces
+    )
+    return RadialProfile(
+        pieces,
+        profile.space,
+        construction=f"scaled({profile.construction})",
+        params=profile.params,
+        smooth=profile.smooth,
+    )

@@ -8,8 +8,6 @@ from symcap.capacities import (
     CancellationError,
     c2b_closed_form,
     compose_ball_bound,
-    cpn_two_ball_bound,
-    cpn_two_ball_report,
     cylinder_bound_report,
     cylinder_upper_bound,
     displacement_bounds,
@@ -154,13 +152,6 @@ def test_special_ball_values():
     assert special_ball_values(F(1, 2))["capacity"] == F(1, 2)
     with pytest.raises(ValueError):
         special_ball_values(F(3, 2))
-
-
-def test_cpn_two_ball():
-    assert cpn_two_ball_bound() == 1
-    report = cpn_two_ball_report(F(1, 100))
-    assert report.lower == F(49, 50)
-    assert report.upper == 1
 
 
 @pytest.mark.parametrize(

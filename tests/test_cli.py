@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from symcap import packing, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.profiles import CN, CPN, Space
+from symcap.rationals import fmt, rat
 from symcap.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -82,6 +83,12 @@ def test_cap_json(capsys):
     assert run(["cap", "--domain", "ellipsoid:1,5", "--capacity", "c2b", "--json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == "2"
+
+
+def test_cap_refuses_huge_exponent(capsys):
+    # Parsing fails at once instead of computing 10**100000000.
+    assert run(["cap", "--domain", "ellipsoid:1,1e100000000"]) == EXIT_PARSE
+    assert "exponent" in capsys.readouterr().err
 
 
 def test_cap_gromov_width(capsys):
@@ -181,8 +188,7 @@ def test_check_detects_tampering(capsys, tmp_path):
     data["simplices"][1] = data["simplices"][0]
     data["total"] = data["simplices"][0]["capacity"]
     # keep total == sum of capacities by doubling one capacity
-    cap = serialize.rational_from_json(data["simplices"][0]["capacity"])
-    data["total"] = serialize.rational_to_json(2 * cap)
+    data["total"] = fmt(2 * rat(data["simplices"][0]["capacity"]))
     path.write_text(json.dumps(data))
     assert run(["check", str(path)]) == EXIT_OK
     assert capsys.readouterr().out.startswith("FAILED")
@@ -251,6 +257,17 @@ def _infinite_offset(data):
     }
 
 
+def _huge_exponent_offset(data):
+    data["domain"] = {
+        "kind": "polytope",
+        "halfspaces": [
+            {"normal": [-1, 0], "offset": "0"},
+            {"normal": [0, -1], "offset": "0"},
+            {"normal": [1, 1], "offset": "1e100000000"},
+        ],
+    }
+
+
 def _unbounded_domain(data):
     data["domain"] = {"kind": "polytope", "halfspaces": [{"normal": [1, 1], "offset": "100"}]}
 
@@ -281,6 +298,7 @@ def _empty_domain(data):
         _infinite_translation,
         _infinite_normal,
         _infinite_offset,
+        _huge_exponent_offset,
         _unbounded_domain,
         _empty_domain,
     ],

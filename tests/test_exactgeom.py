@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap.exactgeom import (
-    DegenerateSimplexError,
     DimensionMismatch,
     Polytope,
     SimplexImage,
@@ -20,13 +20,18 @@ from symcap.exactgeom import (
     polydisk,
     scale_domain,
     simplex_vertices,
-    standard_simplex,
+    _integer_points,
 )
 from symcap.linprog import OPTIMAL
+from symcap.rationals import INF
 
 from lp_reference import maximize_over_polytope
 
 F = Fraction
+
+
+def standard_simplex(capacity, n):
+    return SimplexImage(F(capacity), SpecialAffineTransform.identity(n))
 
 
 def shear(n=2):
@@ -187,18 +192,17 @@ def test_overlap_detected():
     assert not interiors_disjoint(s, inner)
 
 
-def test_degenerate_vertex_set_rejected():
-    from symcap.exactgeom import _check_full_dimensional
-
-    with pytest.raises(DegenerateSimplexError):
-        _check_full_dimensional([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+def test_simplex_capacity_must_be_positive():
+    for capacity in (F(0), F(-1), INF):
+        with pytest.raises(ValueError):
+            SimplexImage(capacity, SpecialAffineTransform.identity(2))
 
 
 @st.composite
 def unimodular(draw, n):
     """A product of elementary shears: an element of SL_n(Z)."""
     matrix = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
         i, j = draw(st.permutations(range(n)))[:2]
         k = draw(st.sampled_from([-1, 1]))
         matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
@@ -222,6 +226,27 @@ def simplex_pairs(draw):
         for _ in range(2)
     )
     return pair, transform(st.integers(-3, 3).map(F))
+
+
+@st.composite
+def simplex_images(draw):
+    """An SL_n(Z) image, n = 1..4, of a positive rational capacity."""
+    n = draw(st.integers(1, 4))
+    capacity = draw(st.fractions(min_value=0, max_value=10, max_denominator=30).filter(bool))
+    translation = tuple(draw(st.fractions(-5, 5, max_denominator=12)) for _ in range(n))
+    return SimplexImage(capacity, SpecialAffineTransform(draw(unimodular(n)), translation))
+
+
+@given(simplex_images())
+@settings(max_examples=200, deadline=None)
+def test_simplex_images_are_full_dimensional(simplex):
+    # Why interiors_disjoint needs no degeneracy check: at the shared integer
+    # scale L the edge matrix is L c M, of determinant (L c)^n != 0.
+    vertices = simplex_vertices(simplex)
+    scale = math.lcm(*[x.denominator for v in vertices for x in v])
+    base, *rest = _integer_points(vertices)
+    edges = [[b - a for a, b in zip(base, v)] for v in rest]
+    assert int_det(edges) == (scale * simplex.capacity) ** simplex.dimension
 
 
 @given(simplex_pairs())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symcap import serialize
-from symcap.capacities import c2b_closed_form, cylinder_bound_report
+from symcap.capacities import c2b_closed_form
 from symcap.exactgeom import (
     Polytope,
     SimplexImage,
@@ -15,18 +15,10 @@ from symcap.exactgeom import (
     polytope_domain,
 )
 from symcap.packing import PackingCertificate, canonical_certificate
-from symcap.profiles import bump, reeb_composite, two_ball
-from symcap.rationals import INF
+from symcap.profiles import two_ball
 from symcap.spectra import action_spectrum
 
 F = Fraction
-
-
-def test_rational_round_trip():
-    for value in (F(3, 7), F(-21, 40), F(0), INF):
-        assert serialize.rational_from_json(serialize.rational_to_json(value)) == value
-    assert serialize.rational_to_json(F(3, 7)) == "3/7"
-    assert serialize.rational_to_json(F(2)) == "2"
 
 
 def test_vector_round_trip():
@@ -89,25 +81,6 @@ def test_capacity_and_bound_reports():
     value = c2b_closed_form(ellipsoid(1, 5))
     data = serialize.capacity_to_json(value)
     assert data["value"] == "2"
-    report = cylinder_bound_report(F(3, 2))
-    assert serialize.bound_report_from_json(serialize.bound_report_to_json(report)) == report
-
-
-def test_profile_round_trip():
-    for profile in (bump(1, F(9, 10), F(1, 100)), reeb_composite(F(3, 4), F(1, 10))):
-        data = json.loads(serialize.dumps(serialize.profile_to_json(profile)))
-        recovered = serialize.profile_from_json(data)
-        assert recovered.pieces == profile.pieces
-        assert recovered.space == profile.space
-        assert recovered.construction == profile.construction
-
-
-def test_two_ball_profile_serializes_as_pair():
-    system = two_ball(1, 1, F(9, 10), F(4, 5), F(1, 100))
-    data = serialize.profile_to_json(system)
-    assert len(data["implants"]) == 2
-    with pytest.raises(ValueError):
-        serialize.profile_from_json(data)
 
 
 def test_spectrum_report_serialization():
