@@ -3,7 +3,8 @@
 Verbs: cap, pack, spectrum, check, plot, verify.  Rationals are read
 exactly ("p/q", integers or decimals such as "0.01") and written as "p/q"
 strings; output is deterministic byte-for-byte.
-Exit codes: 0 success, 2 parse error, 3 computation precondition.
+Exit codes: 0 success, 1 a failed check (acceptance suite or certificate),
+2 parse error, 3 computation precondition.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .svg import render_deformation, render_packing, render_profile
 from .verify import format_suite, run_suite
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
@@ -223,7 +225,7 @@ def _run_spectrum(args) -> str:
     return text
 
 
-def _run_check(args) -> str:
+def _run_check(args) -> tuple[str, bool]:
     try:
         with open(args.certificate, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -232,8 +234,13 @@ def _run_check(args) -> str:
         raise ParseFailure(f"cannot read certificate: {exc}") from exc
     ok = verify_certificate(certificate)
     if args.json:
-        return serialize.dumps({"verified": ok, "total": fmt(certificate.total)})
-    return ("verified" if ok else "FAILED") + f" total {fmt(certificate.total)}\n"
+        return serialize.dumps({"verified": ok, "total": fmt(certificate.total)}), ok
+    return ("verified" if ok else "FAILED") + f" total {fmt(certificate.total)}\n", ok
+
+
+def _run_verify(args) -> tuple[str, bool]:
+    result = run_suite()
+    return format_suite(result), result.ok
 
 
 def _run_plot(args) -> str:
@@ -268,14 +275,15 @@ def run(argv: list[str]) -> int:
         "cap": _run_cap,
         "pack": _run_pack,
         "spectrum": _run_spectrum,
-        "check": _run_check,
         "plot": _run_plot,
     }
+    # Verbs whose output carries a verdict; a failed one exits 1.
+    checks = {"check": _run_check, "verify": _run_verify}
     try:
-        if args.verb == "verify":
-            result = run_suite()
-            _emit(format_suite(result), args.out)
-            return EXIT_OK if result.ok else 1
+        if args.verb in checks:
+            text, ok = checks[args.verb](args)
+            _emit(text, args.out)
+            return EXIT_OK if ok else EXIT_FAILED
         _emit(handlers[args.verb](args), args.out)
         return EXIT_OK
     except ParseFailure as exc:

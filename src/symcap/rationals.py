@@ -18,6 +18,9 @@ INF = math.inf
 # a short string cost minutes.  4300 is Python's int-to-string digit
 # limit: past it `fmt` could not print the value anyway.
 MAX_EXPONENT = 4300
+# `fmt` refuses a numerator or denominator of more than MAX_EXPONENT digits
+# itself, whatever limit the interpreter sets.
+_UNPRINTABLE = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
 
 RationalLike = Fraction | int | str | float
@@ -65,6 +68,8 @@ def fmt(value: Fraction | float) -> str:
     """Render a rational as "p/q" (or "p" when integral, "inf" for the sentinel)."""
     if is_infinite(value):
         return "inf"
+    if max(abs(value.numerator), value.denominator) >= _UNPRINTABLE:
+        raise ValueError(f"value too long to print: more than {MAX_EXPONENT} digits")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice
+from operator import itemgetter, ne
 
 from .capacities import (
     c2b_closed_form,
@@ -319,54 +322,58 @@ def case_deformation_family() -> CaseResult:
 # Grid step of the oracle's scan, and the width to which it bisects a root.
 _STEP = 1e-4
 _TOL = 1e-9
+# How near a root must lie to an exact radius to match it; plateaus are
+# widened by as much at each end.
+_MATCH = 10 * _TOL
 
 
 def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     """Compare exact orbit radii against a float grid scan of h'(r) = k.
 
-    Scans [0, R] in steps of `_STEP`, bisects each bracketed root of
-    h'(r) - k to `_TOL`, and requires a matching exact radius (or covering
-    plateau) within 10 `_TOL` — and vice versa for the isolated exact radii.
-
-    The slope at a float r is ``c1 + 2.0 * c2 * r`` on the piece that
-    `_piece_index` finds by bisecting the breakpoints as floats.  The
-    exact lookup ``piece_at(_clamp_rational(r))`` rounds r by at most
-    about 5e-13, so the two pick the same piece wherever r is farther
-    than `_EXACT_WINDOW` from every float breakpoint; nearer, the table
-    asks the exact lookup.  Every sample thus lands on the exact
-    lookup's piece, the left one at a breakpoint: r = 0.35000000000000003,
-    one ulp right of the float of t_s's kink 7/20, rounds onto the kink.
+    Samples h' on [0, R] in steps of `_STEP` and finds the roots of
+    h'(r) - k for every integer k in one pass.  A sample whose slope is an
+    integer k is itself a root; consecutive such samples with the same k
+    form a run.  A pair of neighbouring samples whose slopes have different
+    floors brackets each k strictly between them, and every sign change of
+    h' - k there is bisected to `_TOL`.  Each root needs a matching exact
+    radius within 10 `_TOL` or a covering plateau widened by as much; a
+    run that one plateau covers end to end is checked once, any other run
+    root by root.  Roots are checked by k, then by sample index, so the
+    first root without a counterpart is named.  Last, each isolated exact
+    radius needs an oracle root within 10 `_TOL`.
     """
     last = profile.pieces[-1]
     r_max = float(last.hi) if last.hi is not None else float(last.lo) + 2.0
     r_max = max(r_max, 1.0)
 
-    piece_index = _piece_index(profile)
-    coeffs = [(float(c1), float(c2)) for _, c1, c2 in (p.coeffs for p in profile.pieces)]
-
-    def deriv(r: float) -> float:
-        c1, c2 = coeffs[piece_index(r)]
-        return c1 + 2.0 * c2 * r
-
-    slopes = [deriv(i * _STEP) for i in range(int(r_max / _STEP) + 1)]
-    k_lo = math.floor(min(slopes))
-    k_hi = math.ceil(max(slopes))
+    deriv = _derivative(profile)
+    slopes = _sample_slopes(profile, int(r_max / _STEP) + 1)
 
     exact = find_orbits(profile)
     exact_radii = [float(o.radius) for o in exact if o.radius is not None]
     plateaus = [
-        (float(lo) - 10 * _TOL, math.inf if hi is None else float(hi) + 10 * _TOL)
+        (float(lo) - _MATCH, math.inf if hi is None else float(hi) + _MATCH)
         for lo, hi in (o.interval for o in exact if o.locus == "plateau")
     ]
 
-    found: list[float] = []
-    for k in range(k_lo, k_hi + 1):
-        for i in range(len(slopes) - 1):
-            f0, f1 = slopes[i] - k, slopes[i + 1] - k
-            if f0 == 0.0:
-                found.append(i * _STEP)
-                continue
-            if f0 * f1 < 0:
+    # Each group is (k, index of its first sample, its ascending roots).
+    groups: list[tuple[int, int, Sequence[float]]] = []
+    # The last sample starts no pair, so it is never a root itself.
+    integral = bytes(map(float.is_integer, islice(slopes, len(slopes) - 1)))
+    for match in re.finditer(rb"\x01+", integral):
+        a, b = match.span()
+        run = slopes[a:b]
+        if run.count(run[0]) == len(run):
+            cuts = [a, b]
+        else:
+            cuts = [a, *compress(range(a + 1, b), map(ne, islice(run, 1, None), run)), b]
+        groups += [(int(slopes[i]), i, _SampleRun(range(i, j))) for i, j in zip(cuts, cuts[1:])]
+
+    floors = list(map(math.floor, slopes))
+    for i in compress(count(), map(ne, floors, islice(floors, 1, None))):
+        s0, s1 = slopes[i], slopes[i + 1]
+        for k in range(math.floor(min(s0, s1)) + 1, math.floor(max(s0, s1)) + 1):
+            if (s0 - k) * (s1 - k) < 0:
                 lo, hi = i * _STEP, (i + 1) * _STEP
                 for _ in range(80):
                     mid = (lo + hi) / 2
@@ -376,19 +383,101 @@ def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
                         lo = mid
                     if hi - lo < _TOL:
                         break
-                found.append((lo + hi) / 2)
+                groups.append((k, i, [(lo + hi) / 2]))
 
-    for root in found:
-        near_exact = any(abs(root - r) <= 10 * _TOL for r in exact_radii)
-        in_plateau = any(lo <= root <= hi for lo, hi in plateaus)
-        if not (near_exact or in_plateau):
+    groups.sort(key=itemgetter(0, 1))
+    radii = sorted(exact_radii)
+    for _, _, roots in groups:
+        root = _first_unmatched(roots, radii, plateaus)
+        if root is not None:
             return False, f"oracle root {root} has no exact counterpart"
     for r in exact_radii:
         if r > r_max:
             continue
-        if not any(abs(root - r) <= 10 * _TOL for root in found):
+        if not any(_near(roots, r) for _, _, roots in groups):
             return False, f"exact radius {r} missed by the oracle"
     return True, ""
+
+
+class _SampleRun(Sequence):
+    """The sample radii ``i * _STEP`` for i in `indices`, ascending."""
+
+    def __init__(self, indices: range) -> None:
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, j: int) -> float:
+        return self.indices[j] * _STEP
+
+
+def _first_unmatched(
+    roots: Sequence[float], radii: list[float], plateaus: list[tuple[float, float]]
+) -> float | None:
+    """The first of the ascending `roots` that lies neither within `_MATCH`
+    of one of the ascending `radii` nor in a plateau, or None.  A run that
+    one plateau covers from its first root to its last passes at once."""
+    if any(lo <= roots[0] and roots[-1] <= hi for lo, hi in plateaus):
+        return None
+    for root in roots:
+        if not (_near(radii, root) or any(lo <= root <= hi for lo, hi in plateaus)):
+            return root
+    return None
+
+
+def _near(ascending: Sequence[float], x: float) -> bool:
+    """Whether some value of `ascending` lies within `_MATCH` of x.  Float
+    subtraction is monotone, so the values on either side of x decide."""
+    j = bisect_left(ascending, x)
+    return (j < len(ascending) and abs(x - ascending[j]) <= _MATCH) or (
+        j > 0 and abs(x - ascending[j - 1]) <= _MATCH
+    )
+
+
+def _derivative(profile: RadialProfile) -> Callable[[float], float]:
+    """h'(r) at a float r: ``c1 + 2.0 * c2 * r`` on the piece that
+    `_piece_index` finds by bisecting the breakpoints as floats.
+
+    The exact lookup ``piece_at(_clamp_rational(r))`` rounds r by at most
+    about 5e-13, so the two pick the same piece wherever r is farther
+    than `_EXACT_WINDOW` from every float breakpoint; nearer, the table
+    asks the exact lookup.  Every sample thus lands on the exact
+    lookup's piece, the left one at a breakpoint: r = 0.35000000000000003,
+    one ulp right of the float of t_s's kink 7/20, rounds onto the kink.
+    """
+    piece_index = _piece_index(profile)
+    coeffs = [(float(c1), float(c2)) for _, c1, c2 in (p.coeffs for p in profile.pieces)]
+
+    def deriv(r: float) -> float:
+        c1, c2 = coeffs[piece_index(r)]
+        return c1 + 2.0 * c2 * r
+
+    return deriv
+
+
+def _sample_slopes(profile: RadialProfile, samples: int) -> list[float]:
+    """``_derivative(profile)(i * _STEP)`` for each i < `samples`, bit for
+    bit, a piece at a time.  The samples more than two steps clear of every
+    breakpoint's `_EXACT_WINDOW` take their piece's slope directly; only
+    the few nearer ones go through the piece lookup."""
+    deriv = _derivative(profile)
+    breaks = [float(piece.hi) for piece in profile.pieces[:-1]]
+    slopes: list[float] = []
+    for p, piece in enumerate(profile.pieces):
+        _, c1, c2 = piece.coeffs
+        c1, twice = float(c1), 2.0 * float(c2)
+        stop = samples
+        if p < len(breaks):
+            stop = min(stop, math.floor((breaks[p] - _EXACT_WINDOW) / _STEP) - 1)
+        if twice == 0.0:  # twice * r is twice itself for every r >= 0
+            slopes += [c1 + twice] * (stop - len(slopes))
+        else:
+            slopes += [c1 + twice * (i * _STEP) for i in range(len(slopes), stop)]
+        if p < len(breaks):
+            guard = min(samples, math.ceil((breaks[p] + _EXACT_WINDOW) / _STEP) + 2)
+            slopes += [deriv(i * _STEP) for i in range(len(slopes), guard)]
+    return slopes
 
 
 # Half-width of the band around each float breakpoint where `_piece_index`

@@ -15,6 +15,7 @@ from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.profiles import CN, CPN, Space
 from symcap.rationals import fmt, rat
 from symcap.cli import (
+    EXIT_FAILED,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -89,6 +90,15 @@ def test_cap_refuses_huge_exponent(capsys):
     # Parsing fails at once instead of computing 10**100000000.
     assert run(["cap", "--domain", "ellipsoid:1,1e100000000"]) == EXIT_PARSE
     assert "exponent" in capsys.readouterr().err
+
+
+def test_cap_refuses_a_result_too_long_to_print(capsys):
+    # 10**4300 has 4,301 digits, one more than symcap prints.
+    assert run(["cap", "--domain", "ellipsoid:1e4300,1e4300"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err == "symcap: value too long to print: more than 4300 digits\n"
+    assert run(["cap", "--domain", "ellipsoid:1e4299,1e4299"]) == EXIT_OK
+    assert capsys.readouterr().out == "1" + "0" * 4299 + "\n"
 
 
 def test_cap_gromov_width(capsys):
@@ -190,8 +200,10 @@ def test_check_detects_tampering(capsys, tmp_path):
     # keep total == sum of capacities by doubling one capacity
     data["total"] = fmt(2 * rat(data["simplices"][0]["capacity"]))
     path.write_text(json.dumps(data))
-    assert run(["check", str(path)]) == EXIT_OK
+    assert run(["check", str(path)]) == EXIT_FAILED
     assert capsys.readouterr().out.startswith("FAILED")
+    assert run(["check", str(path), "--json"]) == EXIT_FAILED
+    assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
 def _drop_second_simplex(data):
