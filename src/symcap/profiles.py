@@ -30,30 +30,57 @@ CPN = "cpn"
 Coeffs = tuple[Fraction, Fraction, Fraction]
 
 _Z = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coeffs(c0=0, c1=0, c2=0) -> Coeffs:
     return (rat(c0), rat(c1), rat(c2))
 
 
+# The three kernels below run in Horner form and skip the terms of zero
+# coefficients, so an affine or constant piece costs no product with 0.
+# They equal the textbook sums exactly (tests/profile_reference.py).
+
+
 def poly_eval(coeffs: Coeffs, r: Fraction) -> Fraction:
     c0, c1, c2 = coeffs
-    return c0 + c1 * r + c2 * r * r
+    if c2:
+        return c0 + (c1 + c2 * r) * r
+    if c1:
+        return c0 + c1 * r
+    return c0
 
 
 def poly_derivative(coeffs: Coeffs, r: Fraction) -> Fraction:
     _, c1, c2 = coeffs
-    return c1 + 2 * c2 * r
+    if c2:
+        return c1 + (c2 + c2) * r
+    return c1
+
+
+def _times(c: Fraction, alpha: Fraction) -> Fraction:
+    """c * alpha, without a product when alpha is 1 or -1."""
+    if alpha == 1:
+        return c
+    if alpha == -1:
+        return -c
+    return c * alpha
 
 
 def poly_compose_affine(coeffs: Coeffs, alpha: Fraction, beta: Fraction) -> Coeffs:
     """Coefficients of p(alpha r + beta)."""
     c0, c1, c2 = coeffs
-    return (
-        c0 + c1 * beta + c2 * beta * beta,
-        c1 * alpha + 2 * c2 * alpha * beta,
-        c2 * alpha * alpha,
-    )
+    if c2:
+        if beta:
+            t = c2 * beta
+            c0 = c0 + (c1 + t) * beta
+            c1 = c1 + t + t
+        return (c0, _times(c1, alpha), _times(_times(c2, alpha), alpha))
+    if not c1:
+        return (c0, c1, c2)
+    if beta:
+        c0 = c0 + c1 * beta
+    return (c0, _times(c1, alpha), c2)
 
 
 @dataclass(frozen=True)
@@ -190,15 +217,23 @@ class CutoffSpline:
     def segments(self) -> list[tuple[Fraction | None, Fraction | None, Coeffs]]:
         """(lo, hi, coeffs) in x, with None for the two unbounded ends."""
         d = self.delta
+        half = d / 2
         return [
-            (None, _Z, _coeffs(d / 2)),
-            (_Z, d, (d / 2, _Z, 1 / (2 * d))),
-            (d, None, _coeffs(0, 1)),
+            (None, _Z, (half, _Z, _Z)),
+            (_Z, d, (half, _Z, 1 / (d + d))),
+            (d, None, (_Z, _ONE, _Z)),
         ]
 
 
 def mu_delta(delta) -> CutoffSpline:
     return CutoffSpline(rat(delta))
+
+
+def _scaled_sum(scale: Fraction, c: Fraction, s: Fraction) -> Fraction:
+    """scale * c + s, without the terms that are 0."""
+    if not c:
+        return s
+    return scale * c + s if s else scale * c
 
 
 def _compose_cutoff(
@@ -215,10 +250,12 @@ def _compose_cutoff(
     for x_lo, x_hi, coeffs in spline.segments():
         ends = []
         for x in (x_lo, x_hi):
-            ends.append(None if x is None else (x - beta) / alpha)
+            if x is not None:
+                x = x - beta if alpha == 1 else (x - beta) / alpha
+            ends.append(x)
         lo, hi = (ends[0], ends[1]) if alpha > 0 else (ends[1], ends[0])
         composed = poly_compose_affine(coeffs, alpha, beta)
-        total = tuple(scale * c + s for c, s in zip(composed, shift_coeffs))
+        total = tuple(_scaled_sum(scale, c, s) for c, s in zip(composed, shift_coeffs))
         raw.append((lo, hi, total))
     raw.sort(key=lambda seg: (seg[0] is not None, seg[0]))
     pieces = []
@@ -283,7 +320,7 @@ def reeb(sigma, delta, dim: int = 1) -> RadialProfile:
             params=_params(sigma=sigma, delta=delta),
         )
     spline = mu_delta(delta)
-    pieces = _compose_cutoff(spline, Fraction(1), Fraction(-1), -sigma, _coeffs(-sigma))
+    pieces = _compose_cutoff(spline, _ONE, -_ONE, -sigma, (-sigma, _Z, _Z))
     return RadialProfile(
         tuple(pieces),
         Space(CN, dim),
@@ -300,9 +337,8 @@ def reeb_composite(s, delta, dim: int = 1) -> RadialProfile:
     if delta <= 0:
         raise ValueError("delta must be positive")
     spline = mu_delta(delta)
-    pieces = _compose_cutoff(
-        spline, Fraction(1), Fraction(-1), -2 * s, _coeffs(-2 * s, 1)
-    )
+    scale = -2 * s
+    pieces = _compose_cutoff(spline, _ONE, -_ONE, scale, (scale, _ONE, _Z))
     return RadialProfile(
         tuple(pieces),
         Space(CN, dim),

@@ -19,7 +19,6 @@ from .profiles import (
     TwoBallSystem,
     k_a,
     poly_derivative,
-    poly_eval,
     reeb,
     reeb_composite,
     s_a,
@@ -95,9 +94,10 @@ def find_orbits(profile: RadialProfile) -> list[OrbitRecord]:
         k_min, k_max = min(d_lo, d_hi), max(d_lo, d_hi)
         k = -(-k_min // 1)  # ceil
         while k <= k_max:
-            radius = (Fraction(k) - c1) / (2 * c2)
+            radius = (k - c1) / (c2 + c2)
             if piece.lo <= radius <= piece.hi:
-                action = poly_eval(piece.coeffs, radius) - radius * k
+                # h(r) - r h'(r) with h'(r) = k: the c1 terms cancel.
+                action = c0 - c2 * radius * radius
                 isolated.append(
                     OrbitRecord("interior", int(k), action, radius=radius)
                 )

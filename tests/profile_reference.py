@@ -1,14 +1,38 @@
-"""Test-only profile helpers: pointwise cut-off values and conformal scaling.
+"""Test-only profile helpers: textbook polynomial kernels, pointwise
+cut-off values and conformal scaling.
 
 The package builds profiles from `CutoffSpline.segments()` alone; these
 helpers give the property tests an independent pointwise form of the
-spline and the conformally rescaled profile lam * h(r / lam).
+spline and the conformally rescaled profile lam * h(r / lam).  The
+package's `poly_eval`, `poly_derivative` and `poly_compose_affine` run in
+Horner form and skip zero terms; the textbook sums below are what they
+must equal exactly.
 """
 
 from fractions import Fraction
 
 from symcap.profiles import CN, CutoffSpline, Piece, RadialProfile
 from symcap.rationals import rat
+
+
+def poly_eval(coeffs, r) -> Fraction:
+    c0, c1, c2 = coeffs
+    return c0 + c1 * r + c2 * r * r
+
+
+def poly_derivative(coeffs, r) -> Fraction:
+    _, c1, c2 = coeffs
+    return c1 + 2 * c2 * r
+
+
+def poly_compose_affine(coeffs, alpha, beta) -> tuple:
+    """Coefficients of p(alpha r + beta), expanded term by term."""
+    c0, c1, c2 = coeffs
+    return (
+        c0 + c1 * beta + c2 * beta * beta,
+        c1 * alpha + 2 * c2 * alpha * beta,
+        c2 * alpha * alpha,
+    )
 
 
 def cutoff_value(spline: CutoffSpline, x) -> Fraction:

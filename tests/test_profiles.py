@@ -13,6 +13,9 @@ from symcap.profiles import (
     bump,
     k_a,
     mu_delta,
+    poly_compose_affine,
+    poly_derivative,
+    poly_eval,
     reeb,
     reeb_composite,
     s_a,
@@ -21,9 +24,61 @@ from symcap.profiles import (
     zero_profile,
 )
 
+import profile_reference as reference
 from profile_reference import cutoff_derivative, cutoff_value, scale_conformal
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# The polynomial kernels against the textbook sums
+# ---------------------------------------------------------------------------
+
+# Values that send the kernels down their shortcuts: a zero coefficient,
+# alpha = 1 or -1, beta = 0.
+_SPECIAL = st.sampled_from([F(0), F(1), F(-1)])
+_SCALARS = st.one_of(_SPECIAL, st.fractions(min_value=-5, max_value=5, max_denominator=60))
+_ARGUMENTS = st.one_of(_SCALARS, st.integers(min_value=-5, max_value=5))
+
+
+def _assert_kernels_match(coeffs, r, alpha, beta):
+    pairs = [
+        (poly_eval(coeffs, r), reference.poly_eval(coeffs, r)),
+        (poly_derivative(coeffs, r), reference.poly_derivative(coeffs, r)),
+    ]
+    pairs += zip(
+        poly_compose_affine(coeffs, alpha, beta),
+        reference.poly_compose_affine(coeffs, alpha, beta),
+    )
+    for fast, textbook in pairs:
+        assert type(fast) is Fraction
+        assert fast == textbook
+
+
+@given(st.tuples(_SCALARS, _SCALARS, _SCALARS), _ARGUMENTS, _ARGUMENTS, _ARGUMENTS)
+@settings(max_examples=300)
+def test_polynomial_kernels_equal_the_textbook_sums(coeffs, r, alpha, beta):
+    _assert_kernels_match(coeffs, r, alpha, beta)
+
+
+def test_polynomial_kernels_on_every_shortcut():
+    # Each zero pattern of (c1, c2), alpha = +-1 or not, beta = 0 or not,
+    # and Fraction or int arguments, all in combination.
+    patterns = [
+        (F(2, 3), F(0), F(0)),
+        (F(2, 3), F(-5, 4), F(0)),
+        (F(2, 3), F(0), F(7, 5)),
+        (F(2, 3), F(-5, 4), F(7, 5)),
+        (F(0), F(0), F(0)),
+    ]
+    alphas = [F(1), F(-1), 1, -1, F(-3, 7), 2]
+    betas = [F(0), 0, F(-1), F(5, 9), 3]
+    radii = [F(0), 0, F(11, 13), 4]
+    for coeffs in patterns:
+        for alpha in alphas:
+            for beta in betas:
+                for r in radii:
+                    _assert_kernels_match(coeffs, r, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +196,12 @@ def test_c1_across_breakpoints(profile):
         eps = F(1, 10**9)
         left = profile.piece_at(r - eps)
         right = profile.piece_at(r + eps) if (profile.space.kind != CPN or r < 1) else profile.piece_at(r)
-        from symcap.profiles import poly_derivative, poly_eval
-
         assert poly_eval(left.coeffs, r) == poly_eval(right.coeffs, r)
         assert poly_derivative(left.coeffs, r) == poly_derivative(right.coeffs, r)
 
 
 def test_kinked_profiles_are_continuous_but_not_c1():
     profile = k_a(F(1, 2))
-    from symcap.profiles import poly_derivative, poly_eval
-
     (left, right) = profile.pieces
     assert poly_eval(left.coeffs, right.lo) == poly_eval(right.coeffs, right.lo)
     assert poly_derivative(left.coeffs, right.lo) != poly_derivative(right.coeffs, right.lo)
@@ -170,6 +221,32 @@ def test_profile_validation():
                 Piece(F(1), None, (F(1), F(0), F(0))),
             ),
             Space("cn", 1),
+        )
+    with pytest.raises(ValueError, match="not C\\^1"):  # affine into quadratic
+        RadialProfile(
+            (
+                Piece(F(0), F(1), (F(0), F(1), F(0))),  # value 1, slope 1 at r = 1
+                Piece(F(1), F(2), (F(0), F(0), F(1))),  # value 1, slope 2 at r = 1
+                Piece(F(2), None, (F(-4), F(4), F(0))),
+            ),
+            Space("cn", 1),
+        )
+    with pytest.raises(ValueError, match="not C\\^1"):  # quadratic into affine
+        RadialProfile(
+            (
+                Piece(F(0), F(1), (F(0), F(0), F(1))),  # value 1, slope 2 at r = 1
+                Piece(F(1), None, (F(0), F(1), F(0))),  # value 1, slope 1 at r = 1
+            ),
+            Space("cn", 1),
+        )
+    with pytest.raises(ValueError, match="discontinuous"):  # constants, c0 apart
+        RadialProfile(
+            (
+                Piece(F(0), F(1, 2), (F(1, 3), F(0), F(0))),
+                Piece(F(1, 2), F(1), (F(1, 3) + F(1, 10**12), F(0), F(0))),
+            ),
+            Space(CPN, 1),
+            smooth=False,
         )
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap.profiles import (
+    CN,
     CPN,
+    Piece,
+    RadialProfile,
+    Space,
     bump,
     k_a,
     reeb,
@@ -95,6 +100,67 @@ def test_tangent_intercept_identity():
                     continue
                 r = orbit.radius
                 assert orbit.action == profile.value(r) - r * profile.derivative(r)
+
+
+def _seeded_profiles(seed: int) -> list[RadialProfile]:
+    """bump, reeb, reeb_composite, both two_ball halves and a steep
+    quadratic (windings 0 to 4 inside one piece), with drawn parameters."""
+    rng = random.Random(seed)
+
+    def draw(lo: int, hi: int, den: int) -> Fraction:
+        return F(rng.randint(lo, hi), den)
+
+    a, b = draw(1, 40, 10), draw(1, 40, 10)
+    eta, mu = draw(1, 99, 100), draw(1, 99, 100)
+    delta = min(eta * a, mu * b) * draw(1, 99, 100)
+    system = two_ball(a, b, eta, mu, delta)
+    c2 = draw(1, 30, 7)  # slope 0 at r = 0 up to 5 at r = 5 / (2 c2)
+    knot = 5 / (2 * c2)
+    steep = RadialProfile(
+        (
+            Piece(F(0), knot, (F(0), F(0), c2)),
+            Piece(knot, None, (-c2 * knot * knot, F(5), F(0))),
+        ),
+        Space(CN, 1),
+    )
+    return [
+        bump(a, eta, delta),
+        reeb(draw(0, 99, 100), draw(1, 50, 100)),
+        reeb_composite(F(1, 2) + draw(1, 49, 100), draw(1, 50, 100)),
+        system.positive,
+        system.negative,
+        steep,
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_interior_orbits_on_seeded_profiles(seed):
+    # find_orbits takes the radius from h'(r) = k and the action as
+    # c0 - c2 r^2; both must agree with the profile's own value and slope.
+    interior = 0
+    for profile in _seeded_profiles(seed):
+        for orbit in find_orbits(profile):
+            if orbit.locus != "interior":
+                continue
+            interior += 1
+            r, k = orbit.radius, orbit.winding
+            assert profile.derivative(r) == k
+            assert orbit.action == profile.value(r) - r * k
+    assert interior >= 5  # the steep profile alone has windings 0 to 4
+
+
+# Corners of the 20 x 20 grid that case_item_v_bound scans.
+@pytest.mark.parametrize(
+    "s, delta, spectrum",
+    [
+        (F(11, 21), F(1, 80), (F(-253, 240), F(-509, 10560))),
+        (F(11, 21), F(1, 4), (F(-33, 28), F(-73, 1232))),
+        (F(41, 42), F(1, 80), (F(-943, 480), F(-473, 492))),
+        (F(41, 42), F(1, 4), (F(-123, 56), F(-325, 287))),
+    ],
+)
+def test_reeb_composite_spectra_at_the_grid_corners(s, delta, spectrum):
+    assert action_spectrum(reeb_composite(s, delta)).spectrum == spectrum
 
 
 # ---------------------------------------------------------------------------
