@@ -39,12 +39,15 @@ from .exactgeom import (
 )
 from .rationals import is_infinite, rat
 
-# Work budget of the SL_n(Z) enumeration, in (2B+1)^(n^2-1) walked tuples,
-# so that an admitted enumeration takes well under a second.  On a 2-vCPU
-# Xeon with Python 3.11, n = 3, B = 2 walks 390,625 tuples in 0.12 s
-# (22,568 matrices, one per simplex); n = 3, B = 3 would walk 5.8M tuples
-# in 1.1 s (213,608 matrices, each then scanned for placements) and n = 4,
-# B = 1 14.3M, so both are refused.  In dimension 2 the budget admits B <= 49.
+# Work budget of the SL_n(Z) enumeration, in the (2B+1)^(n^2-1) tuples of
+# its walk without spread limits, so that an admitted enumeration takes well
+# under a second; a probe walks only the rows that fit the box at its
+# capacity (`_fitting_matrices`), never more.  On a 2-vCPU Xeon with Python
+# 3.11, n = 3, B = 2 walks 390,625 tuples in 0.06 s (22,568 matrices, one
+# per simplex), and at capacity 1 on E(1,2,3)'s box it lists 3,272 of them
+# in 0.005 s; n = 3, B = 3 would walk 5.8M tuples in about 1 s (213,608
+# matrices) and n = 4, B = 1 14.3M, so both are refused.  In dimension 2
+# the budget admits B <= 49.
 ENUMERATION_BUDGET = 10**6
 
 # Budget on the translation grid, in points of step 1/q on the bounding box,
@@ -179,59 +182,101 @@ def _corner_reflection(n: int, corner) -> SpecialAffineTransform:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _unimodular_matrices(n: int, bound: int) -> tuple:
-    """One SL_n(Z) matrix per simplex, in lexicographic order: the first of
-    each class of matrices with entries in [-bound, bound] that differ by
-    an even column permutation (one image of the standard simplex).
-
-    Expanding det along the last row gives det = sum_j r_j C_j, where the
-    cofactors C depend only on the first n - 1 rows.  So those rows and the
-    first n - 1 entries of the last row are walked in lexicographic order,
-    and det = 1 is solved for the last entry; a prefix whose cofactors have
-    gcd != 1 admits no last row.  Before that, a prefix is skipped if an
-    even column permutation makes it smaller.  One that such a permutation
-    fixes has all-zero cofactors (three equal columns, or two pairs), so
-    each kept matrix is below all its twins.  Rows are shared between
-    matrices.  Raises ValueError, before any enumeration, when the walk
-    would exceed ENUMERATION_BUDGET tuples.
-    """
+def _check_enumeration_budget(n: int, bound: int) -> None:
+    """Raise ValueError if the SL_n(Z) walk of entry bound `bound` would
+    exceed ENUMERATION_BUDGET tuples, whatever its row spreads."""
     tuples = (2 * bound + 1) ** (n * n - 1)
     if tuples > ENUMERATION_BUDGET:
         raise ValueError(
             f"SL_{n}(Z) enumeration with entry bound {bound} walks {tuples} "
             f"tuples, above the budget of {ENUMERATION_BUDGET}"
         )
+
+
+@lru_cache(maxsize=None)
+def _unimodular_matrices(n: int, bound: int, spreads=None) -> tuple:
+    """One SL_n(Z) matrix per simplex, in lexicographic order: the first of
+    each class of matrices with entries in [-bound, bound] that differ by
+    an even column permutation (one image of the standard simplex).  With
+    `spreads`, only the matrices whose row i r has spread max(max(r), 0) -
+    min(min(r), 0) at most spreads[i]; None means no limit beyond the
+    bound.
+
+    Expanding det along the last row gives det = sum_j r_j C_j, where the
+    cofactors C depend only on the first n - 1 rows.  So those rows, each
+    among the rows within its spread, and the first n - 1 entries of the
+    last row are walked in lexicographic order, and det = 1 is solved for
+    the last entry; a prefix whose cofactors have gcd != 1 admits no last
+    row, and a solved last row is kept only within its spread.  Before
+    that, a prefix is skipped if an even column permutation makes it
+    smaller.  One that such a permutation fixes has all-zero cofactors
+    (three equal columns, or two pairs), so each kept matrix is below all
+    its twins.  A column permutation keeps every row's spread, so a class
+    is kept or dropped whole, and the list is the unlimited one filtered
+    by spread.  Rows are shared between matrices.  Raises ValueError,
+    before any enumeration, when the walk would exceed ENUMERATION_BUDGET
+    tuples.
+    """
+    _check_enumeration_budget(n, bound)
+    if spreads is None:
+        spreads = (2 * bound,) * n
     entries = range(-bound, bound + 1)
     width = len(entries)
     rows = list(product(entries, repeat=n))
+    spread = [max(max(row), 0) - min(min(row), 0) for row in rows]
     # Per even column permutation but the first, the identity, the index of
     # each permuted row; rows are sorted, so indices compare as rows do.
     index = {row: i for i, row in enumerate(rows)}
     evens = [p for p in permutations(range(n)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
     twins = [[index[tuple(map(row.__getitem__, p))] for row in rows] for p in evens[1:]]
+    admissible = [[i for i, s in enumerate(spread) if s <= limit] for limit in spreads[:-1]]
+    # The last row's leading entries lie within its spread; bases[k] + r is
+    # the index of the k-th choice of them, in lexicographic order,
+    # completed by r.
+    last_limit = spreads[-1]
+    near = range(-min(bound, last_limit), min(bound, last_limit) + 1)
+    bases = [0]
+    for _ in range(n - 1):
+        bases = [base * width + bound + r for base in bases for r in near]
+    bases = [base * width + bound for base in bases]
     matrices = []
-    for picks in product(range(len(rows)), repeat=n - 1):
+    for picks in product(*admissible):
         if any(tuple(map(twin.__getitem__, picks)) < picks for twin in twins):
             continue
         prefix = tuple(map(rows.__getitem__, picks))
         *cofactors, c_last = cofactor_vector(prefix)
         if math.gcd(*cofactors, c_last) != 1:
             continue
-        # rems[index] = 1 - sum_{j<n} r_j C_j for the index-th choice of the
-        # last row's leading entries, in lexicographic order; that choice
-        # completed by r is the row rows[index * width + bound + r].
+        # rems[k] = 1 - sum_{j<n} r_j C_j for the k-th choice of the last
+        # row's leading entries.
         rems = [1]
         for c in cofactors:
-            rems = [rem - r * c for rem in rems for r in entries]
-        for index, rem in enumerate(rems):
-            base = index * width + bound
+            rems = [rem - r * c for rem in rems for r in near]
+        for base, rem in zip(bases, rems):
             if c_last == 0:
                 if rem == 0:
-                    matrices.extend((*prefix, rows[base + r]) for r in entries)
+                    matrices.extend(
+                        (*prefix, rows[base + r]) for r in entries if spread[base + r] <= last_limit
+                    )
             elif rem % c_last == 0 and -bound <= rem // c_last <= bound:
-                matrices.append((*prefix, rows[base + rem // c_last]))
+                last = base + rem // c_last
+                if spread[last] <= last_limit:
+                    matrices.append((*prefix, rows[last]))
     return tuple(matrices)
+
+
+def _fitting_matrices(bound: int, box, capacity: Fraction) -> tuple:
+    """The matrices of `_unimodular_matrices` whose capacity-`capacity`
+    simplex image fits the box: row i spans c times its spread along axis
+    i, so its spread is at most floor(w_i / c) for the box width w_i.
+    Limits are clamped to 2 * bound, the widest spread of a row, so that
+    small capacities share one list.  Empty, with nothing enumerated, when
+    c is not positive or exceeds the box's least width."""
+    widths = [hi - lo for lo, hi in box]
+    if not 0 < capacity <= min(widths):
+        return ()
+    spreads = tuple(min(2 * bound, math.floor(w / capacity)) for w in widths)
+    return _unimodular_matrices(len(box), bound, spreads)
 
 
 def _contained_placements(
@@ -247,13 +292,15 @@ def _contained_placements(
     Works in integer arithmetic: containment of g = (M, tau) reduces to
     nu . tau <= beta - max_j nu . (c M e_j) per halfspace, which is linear
     in tau, so the translations depend on M only through these slacks.
-    Empty when c exceeds the box's least width (`search_two_balls`).
+    Callers pass only matrices whose simplex images fit the box
+    (`_fitting_matrices`); any other matrix gets no placement, at the cost
+    of its scan.  Empty when c is not positive or exceeds the box's least
+    width.
     """
     n = polytope.dimension
     step = scale // q
     c_scaled = int(capacity * scale)
-    widths = [int((hi - lo) * scale) for lo, hi in box]
-    if not 0 < c_scaled <= min(widths):
+    if not 0 < c_scaled <= min(int((hi - lo) * scale) for lo, hi in box):
         return []
 
     axis_ranges = [range(int(lo * scale), int(hi * scale) + 1, step) for lo, hi in box]
@@ -271,17 +318,9 @@ def _contained_placements(
     ]
     last = axis_ranges[-1]
     last_lo, last_hi = last.start, last[-1]
-    # A row's spread s fits the box width w iff c * s <= w, i.e. s <= w // c.
-    limits = [width // c_scaled for width in widths]
 
     families: dict[tuple, tuple] = {}
     for matrix in matrices:
-        # Quick prune: the simplex's own extent must fit in the box.
-        if any(
-            max(max(row), 0) - min(min(row), 0) > limit
-            for row, limit in zip(matrix, limits)
-        ):
-            continue
         columns = list(zip(*matrix))
         slacks = tuple(
             beta - c_scaled * max(0, *[sum(map(mul, nu, col)) for col in columns])
@@ -430,8 +469,10 @@ def search_two_balls(
             f"translation grid of step 1/{q} has {points} points on the "
             f"bounding box, above the budget of {GRID_BUDGET}"
         )
-    # Refuses a too-large enumeration before doing any of it.
-    matrices = _unimodular_matrices(polytope.dimension, config.matrix_entry_bound)
+    bound = config.matrix_entry_bound
+    # Refuses a too-large enumeration before doing any of it; each probe
+    # then lists only the matrices that fit the box at its capacities.
+    _check_enumeration_budget(polytope.dimension, bound)
     # A split's scale is the lcm of q, these and its two capacities'
     # denominators, so that both placement lists share one integer grid.
     denominators = [beta.denominator for _, beta in polytope.constraints]
@@ -448,9 +489,11 @@ def search_two_balls(
             splits += [(total / 3, 2 * total / 3), (total / 4, 3 * total / 4)]
         for cap_a, cap_b in splits:
             scale = math.lcm(q, *denominators, cap_a.denominator, cap_b.denominator)
-            first = second = _contained_placements(polytope, box, cap_a, matrices, q, scale)
+            fitting = _fitting_matrices(bound, box, cap_a)
+            first = second = _contained_placements(polytope, box, cap_a, fitting, q, scale)
             if first and cap_b != cap_a:
-                second = _contained_placements(polytope, box, cap_b, matrices, q, scale)
+                fitting = _fitting_matrices(bound, box, cap_b)
+                second = _contained_placements(polytope, box, cap_b, fitting, q, scale)
             pair = _find_disjoint_pair(cap_a, first, cap_b, second, scale)
             if pair is not None:
                 return PackingCertificate(pair, domain, total)

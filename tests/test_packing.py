@@ -218,10 +218,13 @@ def test_search_verifies_its_certificate_once(monkeypatch):
     assert calls == [(cert,)]
 
 
-def test_search_on_flat_polytope_finds_nothing():
-    # The segment {0} x [0, 1] has least width 0: no simplex fits.
+def test_search_on_flat_polytope_finds_nothing(monkeypatch):
+    # The segment {0} x [0, 1] has least width 0: no simplex fits.  Its
+    # ceiling is 0, so every probe has capacity 0 and lists no matrix.
+    calls = _count_calls(monkeypatch, "_unimodular_matrices")
     flat = Polytope.from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
     assert search_two_balls(polytope_domain(flat), SEARCH) is None
+    assert calls == []
 
 
 def test_search_recovers_trimmed_packing():
@@ -308,6 +311,39 @@ def test_unimodular_matrices_sl3_bound_2():
     assert len({twin for matrix in matrices for twin in _twins(matrix)}) == 67704
     assert matrices[0] == ((-2, -2, -1), (-2, -1, -2), (-1, -2, 0))
     assert matrices[-1] == ((1, 2, 2), (2, 2, 1), (2, 1, -1))
+
+
+def _spread_cases():
+    for bound in (1, 2, 3):
+        yield from ((2, bound, spreads) for spreads in product(range(2 * bound + 1), repeat=2))
+    yield from ((3, 1, spreads) for spreads in product(range(3), repeat=3))
+    yield from ((3, 2, spreads) for spreads in [(1, 2, 3), (2, 2, 4), (4, 4, 4), (0, 4, 4)])
+
+
+@pytest.mark.parametrize("n,bound,spreads", list(_spread_cases()), ids=str)
+def test_unimodular_matrices_within_spreads_filter_the_full_list(n, bound, spreads):
+    # The spread-limited walk lists exactly the matrices of the full list
+    # whose row i spans at most spreads[i], in the same order.
+    def fits(matrix):
+        return all(
+            max(max(row), 0) - min(min(row), 0) <= limit for row, limit in zip(matrix, spreads)
+        )
+
+    expected = tuple(filter(fits, _unimodular_matrices(n, bound)))
+    assert _unimodular_matrices(n, bound, spreads) == expected
+
+
+def test_fitting_matrices_list_only_what_fits_the_box(monkeypatch):
+    # E(1,2,3)'s box has widths 1, 2, 3: at capacity 1 the rows may span
+    # 1, 2 and 3, which leaves 3,272 of the 22,568 matrices at B = 2.
+    box = moment_polytope(ellipsoid(1, 2, 3)).bounding_box()
+    assert len(packing._fitting_matrices(2, box, F(1))) == 3272
+    # At capacity 1/4 every limit reaches 2B = 4: the unlimited list.
+    assert packing._fitting_matrices(2, box, F(1, 4)) == _unimodular_matrices(3, 2)
+    calls = _count_calls(monkeypatch, "_unimodular_matrices")
+    assert packing._fitting_matrices(2, box, F(0)) == ()
+    assert packing._fitting_matrices(2, box, F(21, 20)) == ()
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,bound", [(3, 3), (4, 1), (2, 50)])
