@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a failed check (acceptance suite or certificate),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .profiles import CN, CPN, RadialProfile, Space, TwoBallSystem, build_profil
 from .rationals import fmt, rat
 from .spectra import action_spectrum, spectral_norm_candidates
 from .svg import render_deformation, render_packing, render_profile
-from .verify import format_suite, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -85,7 +85,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The verb parser, built on first use and shared by every `run` in the
+    process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symcap",
         description="Exact symplectic capacities of toric domains.",
@@ -239,6 +242,9 @@ def _run_check(args) -> tuple[str, bool]:
 
 
 def _run_verify(args) -> tuple[str, bool]:
+    # Imported here so that the other verbs never load the acceptance suite.
+    from .verify import format_suite, run_suite
+
     result = run_suite()
     return format_suite(result), result.ok
 

@@ -196,11 +196,6 @@ class Polytope:
     def dimension(self) -> int:
         return len(self.constraints[0][0])
 
-    def contains_point(self, point: Vector) -> bool:
-        if len(point) != self.dimension:
-            raise DimensionMismatch("point dimension mismatch")
-        return all(_dot(nu, point) <= beta for nu, beta in self.constraints)
-
     def transform(self, g: SpecialAffineTransform) -> "Polytope":
         """The image polytope g(P) = {Mx + tau : x in P}."""
         inv = g.inverse()
@@ -399,10 +394,22 @@ def simplex_vertices(simplex: SimplexImage) -> list[Vector]:
 
 
 def contains(polytope: Polytope, simplex: SimplexImage) -> bool:
-    """Closed containment; by convexity it suffices to test the vertices."""
+    """True iff the closed simplex lies in the closed polytope.
+
+    By convexity it suffices to test the vertices.  The vertices and the
+    offsets share one scale L, the lcm of all their denominators, so each
+    test nu . (L v) <= L beta runs on integers.
+    """
     if polytope.dimension != simplex.dimension:
         raise DimensionMismatch("polytope and simplex dimensions disagree")
-    return all(polytope.contains_point(v) for v in simplex_vertices(simplex))
+    normals = [nu for nu, _ in polytope.constraints]
+    # The offsets ride along as one more "point", so they get the same scale.
+    *points, offsets = _integer_points(
+        [*simplex_vertices(simplex), [beta for _, beta in polytope.constraints]]
+    )
+    return all(
+        _dot(nu, p) <= beta for p in points for nu, beta in zip(normals, offsets)
+    )
 
 
 def _integer_points(points) -> list[tuple[int, ...]]:

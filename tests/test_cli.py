@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcap import packing, serialize, spectra
+from symcap import cli, packing, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.profiles import CN, CPN, Space
 from symcap.rationals import fmt, rat
@@ -564,6 +567,50 @@ def test_precondition_errors_exit_3(capsys):
         run(["spectrum", "--profile", "bump:a=1,eta=9/10,delta=1"]) == EXIT_PRECONDITION
     )
     capsys.readouterr()
+
+
+def test_runs_in_one_process_share_one_parser(capsys, tmp_path):
+    certificate = packing.canonical_certificate(ellipsoid(1, 2), F(1, 100))
+    data = serialize.certificate_to_json(certificate)
+    data["simplices"][1] = data["simplices"][0]
+    data["total"] = fmt(2 * rat(data["simplices"][0]["capacity"]))
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    argvs = [
+        ["cap", "--domain", "ellipsoid:1,2"],
+        ["cap", "--domain", "ellipsoid:1,2", "--capacity", "nope"],
+        ["--help"],
+        ["cap", "--domain", "ellipsoid:one,2"],
+        ["pack", "--domain", "ellipsoid:1,3/2"],
+        ["check", str(tampered)],
+        ["pack", "--domain", "polydisk:1,3", "--json"],
+    ]
+    cli._build_parser.cache_clear()
+    rounds = []
+    for _ in range(2):
+        results = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        rounds.append(results)
+    assert rounds[0] == rounds[1]
+    codes = [code for code, _, _ in rounds[0]]
+    assert codes == [EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_FAILED, EXIT_OK]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, symcap.cli; assert 'symcap.verify' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_output_bytes_are_deterministic(capsys):

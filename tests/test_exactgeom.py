@@ -125,19 +125,32 @@ def test_halfspace_normalization_is_canonical():
     assert a.constraints[0][0] == (2, 1)
 
 
+def contains_point(polytope, point) -> bool:
+    """Closed membership of one point, in Fraction arithmetic."""
+    if len(point) != polytope.dimension:
+        raise DimensionMismatch("point dimension mismatch")
+    return all(sum(a * x for a, x in zip(nu, point)) <= beta for nu, beta in polytope.constraints)
+
+
+def reference_contains(polytope, simplex) -> bool:
+    """Closed containment tested vertex by vertex in Fraction arithmetic:
+    the reference for the integer test of `contains`."""
+    return all(contains_point(polytope, v) for v in simplex_vertices(simplex))
+
+
 def test_moment_polytope_shapes():
     tri = moment_polytope(ball(1))
-    assert tri.contains_point((F(1, 2), F(1, 2)))
-    assert not tri.contains_point((F(3, 4), F(3, 4)))
+    assert contains_point(tri, (F(1, 2), F(1, 2)))
+    assert not contains_point(tri, (F(3, 4), F(3, 4)))
     square = moment_polytope(polydisk(1, 1))
-    assert square.contains_point((F(1), F(1)))
-    assert not square.contains_point((F(1), F(11, 10)))
+    assert contains_point(square, (F(1), F(1)))
+    assert not contains_point(square, (F(1), F(11, 10)))
 
 
 def test_cylinder_moment_polytope_is_a_slab():
     slab = moment_polytope(ellipsoid(1, "inf"))
-    assert slab.contains_point((F(1, 2), F(1000)))
-    assert not slab.contains_point((F(11, 10), F(0)))
+    assert contains_point(slab, (F(1, 2), F(1000)))
+    assert not contains_point(slab, (F(11, 10), F(0)))
 
 
 def test_contains_examples():
@@ -158,6 +171,8 @@ def test_containment_invariant_under_transform():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         contains(moment_polytope(ball(1)), standard_simplex(1, 3))
+    with pytest.raises(DimensionMismatch):
+        contains(moment_polytope(ellipsoid(1, 2, 3)), standard_simplex(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +262,66 @@ def test_simplex_images_are_full_dimensional(simplex):
     base, *rest = _integer_points(vertices)
     edges = [[b - a for a, b in zip(base, v)] for v in rest]
     assert int_det(edges) == (scale * simplex.capacity) ** simplex.dimension
+
+
+# Denominators with no common factor, up to 2^61 - 1, so the shared scale of
+# `contains` is a product of several of them.
+_DENOMINATORS = [1, 2, 3, 7, 1009, 65537, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def rationals(draw, low, high):
+    d = draw(st.sampled_from(_DENOMINATORS))
+    return F(draw(st.integers(low * d, high * d)), d)
+
+
+@st.composite
+def containment_cases(draw):
+    """A simplex, n = 1..4, and a polytope it often touches.
+
+    The polytope is the moment polytope of an ellipsoid (cylinder factors
+    give 0 normal entries) or polydisk, or halfspaces drawn tight at a
+    vertex of the simplex, some pushed off by 1/d.  Also drawn: a common
+    move g in SL_n(Z) x Q^n, which keeps the verdict.
+    """
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ellipsoid", "polydisk", "tight"]))
+    if kind == "tight":
+        capacity = draw(rationals(0, 4).filter(bool))
+    else:
+        params = [draw(rationals(0, 6).filter(bool)) for _ in range(n)]
+        if kind == "ellipsoid" and n > 1:
+            params[1:] = [draw(st.sampled_from([a, INF])) for a in params[1:]]
+        domain = ellipsoid(*params) if kind == "ellipsoid" else polydisk(*params)
+        # The smallest parameter puts a vertex of the standard simplex on a facet.
+        capacity = draw(st.sampled_from([domain.params[0], draw(rationals(0, 3).filter(bool))]))
+    translation = tuple(
+        draw(st.sampled_from([F(0), draw(rationals(-1, 1))])) for _ in range(n)
+    )
+    simplex = SimplexImage(capacity, SpecialAffineTransform(draw(unimodular(n)), translation))
+    if kind == "tight":
+        vertices = simplex_vertices(simplex)
+        halfspaces = []
+        for _ in range(draw(st.integers(1, n + 3))):
+            normal = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+            slack = draw(st.sampled_from([0, 0, 1, -1])) * F(1, draw(st.sampled_from(_DENOMINATORS)))
+            beta = max(sum(a * x for a, x in zip(normal, v)) for v in vertices)
+            halfspaces.append((normal, beta + slack))
+        polytope = Polytope.from_halfspaces(halfspaces)
+    else:
+        polytope = moment_polytope(domain)
+    g = SpecialAffineTransform(draw(unimodular(n)), tuple(draw(rationals(-3, 3)) for _ in range(n)))
+    return polytope, simplex, g
+
+
+@given(containment_cases())
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_fraction_reference(case):
+    polytope, simplex, g = case
+    expected = reference_contains(polytope, simplex)
+    assert contains(polytope, simplex) == expected
+    moved = SimplexImage(simplex.capacity, g.compose(simplex.transform))
+    assert contains(polytope.transform(g), moved) == expected
 
 
 @given(simplex_pairs())
