@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import serialize
 from .capacities import c2b_closed_form, gromov_width_simplex_preimage, spectral_diameter
 from .exactgeom import ELLIPSOID, POLYDISK, ToricDomain
-from .packing import SearchConfig, canonical_certificate, search_two_balls, verify_certificate
+from .packing import SearchConfig, canonical_certificate, search_two_balls
 from .profiles import CN, CPN, RadialProfile, Space, TwoBallSystem, build_profile
 from .rationals import fmt, rat
 from .spectra import action_spectrum, spectral_norm_candidates
@@ -198,7 +198,7 @@ def _run_pack(args) -> str:
         f"total {fmt(certificate.total)} "
         f"(capacities {fmt(certificate.simplices[0].capacity)} + "
         f"{fmt(certificate.simplices[1].capacity)}), "
-        f"verified={str(verify_certificate(certificate)).lower()}\n"
+        f"verified={str(certificate.verified).lower()}\n"
     )
 
 
@@ -235,7 +235,7 @@ def _run_check(args) -> tuple[str, bool]:
         certificate = serialize.certificate_from_json(data)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseFailure(f"cannot read certificate: {exc}") from exc
-    ok = verify_certificate(certificate)
+    ok = certificate.verified
     if args.json:
         return serialize.dumps({"verified": ok, "total": fmt(certificate.total)}), ok
     return ("verified" if ok else "FAILED") + f" total {fmt(certificate.total)}\n", ok

@@ -102,6 +102,7 @@ class SpecialAffineTransform:
     translation: Vector
 
     def __post_init__(self):
+        object.__setattr__(self, "translation", tuple(map(rat, self.translation)))
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise DimensionMismatch("matrix and translation sizes disagree")
@@ -374,8 +375,8 @@ class SimplexImage:
     transform: SpecialAffineTransform
 
     def __post_init__(self):
-        capacity = rat(self.capacity)
-        if is_infinite(capacity) or capacity <= 0:
+        object.__setattr__(self, "capacity", rat(self.capacity))
+        if is_infinite(self.capacity) or self.capacity <= 0:
             raise ValueError("capacity must be a positive rational")
 
     @property
@@ -384,7 +385,7 @@ class SimplexImage:
 
 
 def simplex_vertices(simplex: SimplexImage) -> list[Vector]:
-    a = rat(simplex.capacity)
+    a = simplex.capacity
     g = simplex.transform
     columns = [
         tuple([t + a * row[j] for row, t in zip(g.matrix, g.translation)])

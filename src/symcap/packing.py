@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product, repeat
 from operator import mul, neg, sub
 
@@ -68,6 +68,12 @@ class PackingCertificate:
         if self.total != self.simplices[0].capacity + self.simplices[1].capacity:
             raise ValueError("total must equal the sum of the two capacities")
 
+    @cached_property
+    def verified(self) -> bool:
+        """`verify_certificate(self)`, computed on first read; not a field,
+        so never passed in and never part of equality or hashing."""
+        return verify_certificate(self)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -94,7 +100,8 @@ class SearchConfig:
             raise ValueError("matrix entry bound must be >= 1")
         if self.translation_grid < 1:
             raise ValueError("translation grid must be >= 1")
-        if rat(self.bisection_tolerance) <= 0:
+        object.__setattr__(self, "bisection_tolerance", rat(self.bisection_tolerance))
+        if self.bisection_tolerance <= 0:
             raise ValueError("bisection tolerance must be positive")
 
 
@@ -102,8 +109,6 @@ def verify_certificate(certificate: PackingCertificate) -> bool:
     """Recompute both containments and the interior disjointness exactly."""
     polytope = moment_polytope(certificate.domain)
     s1, s2 = certificate.simplices
-    if certificate.total != s1.capacity + s2.capacity:
-        return False
     return (
         contains(polytope, s1)
         and contains(polytope, s2)
@@ -144,7 +149,7 @@ def canonical_certificate(domain: ToricDomain, slack) -> PackingCertificate:
         SimplexImage(capacity, second),
     )
     certificate = PackingCertificate(simplices, domain, 2 * capacity)
-    if not verify_certificate(certificate):
+    if not certificate.verified:
         raise AssertionError("canonical certificate failed its own verification")
     return certificate
 
@@ -449,11 +454,11 @@ def search_two_balls(
 ) -> PackingCertificate | None:
     """Bisection on the packed total below a proven ceiling.
 
-    Returns the best certificate found, after one call of
-    `verify_certificate` on it, or None when no probed total packs.  No
-    SL_n(Z) matrix has a zero row, so a simplex image of capacity c spans
-    at least c along every axis: no total above twice the least width w of
-    the bounding box packs, and in dimension 1 none above w.  The ceiling
+    Returns the best certificate found, whose `verified` it has read, or
+    None when no probed total packs.  No SL_n(Z) matrix has a zero row, so
+    a simplex image of capacity c spans at least c along every axis: no
+    total above twice the least width w of the bounding box packs, and in
+    dimension 1 none above w.  The ceiling
     is the closed-form c_2B for ellipsoids and polydisks and that bound
     for other polytopes.  A probe that packs at the ceiling ends the
     search; otherwise it bisects on [0, ceiling].  A probe sweeps every
@@ -502,13 +507,13 @@ def search_two_balls(
     best = probe(ceiling)
     if best is None:
         low, high = Fraction(0), ceiling
-        while high - low > rat(config.bisection_tolerance):
+        while high - low > config.bisection_tolerance:
             mid = (low + high) / 2
             certificate = probe(mid)
             if certificate is None:
                 high = mid
             else:
                 best, low = certificate, mid
-    if best is not None and not verify_certificate(best):
+    if best is not None and not best.verified:
         raise AssertionError("search certificate failed verification")
     return best

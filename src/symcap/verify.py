@@ -31,7 +31,7 @@ from .capacities import (
     spectral_diameter_ellipsoid,
 )
 from .exactgeom import ellipsoid, polydisk, scale_domain
-from .packing import SearchConfig, canonical_certificate, search_two_balls, verify_certificate
+from .packing import SearchConfig, canonical_certificate, search_two_balls
 from .profiles import (
     RadialProfile,
     TwoBallSystem,
@@ -158,7 +158,7 @@ def case_packing() -> CaseResult:
     eps = Fraction(1, 100)
     for domain in (ellipsoid(1, 2), polydisk(1, 1)):
         cert = canonical_certificate(domain, eps)
-        if cert.total != Fraction(199, 100) or not verify_certificate(cert):
+        if cert.total != Fraction(199, 100) or not cert.verified:
             return _predicate_case("packing", False, f"canonical {domain.describe()}")
     config = SearchConfig(
         matrix_entry_bound=2,
@@ -175,7 +175,7 @@ def case_packing() -> CaseResult:
         ceiling = c2b_closed_form(domain).value
         if cert is None or cert.total < floor or cert.total > ceiling:
             return _predicate_case("packing", False, f"search {domain.describe()}")
-        if not verify_certificate(cert):
+        if not cert.verified:
             return _predicate_case("packing", False, f"unverified {domain.describe()}")
     return _predicate_case("canonical certificates and search totals", True)
 

@@ -7,7 +7,7 @@ per criterion so the suite reads as a checklist.
 
 import pytest
 
-from symcap import verify
+from symcap import packing, verify
 
 
 def _run(index: int, case) -> None:
@@ -48,3 +48,14 @@ def test_suite_driver_reports_all_pass():
     assert result.ok
     text = verify.format_suite(result)
     assert "14 passed, 0 failed" in text
+
+
+def test_packing_case_verifies_each_certificate_once(monkeypatch):
+    # Two canonical certificates and three searched ones; the case reads
+    # each certificate's cached verdict instead of verifying it again.
+    calls = []
+    original = packing.verify_certificate
+    monkeypatch.setattr(packing, "verify_certificate", lambda c: calls.append(c) or original(c))
+    assert verify.case_packing().passed
+    assert not hasattr(verify, "verify_certificate")
+    assert len(calls) == 5

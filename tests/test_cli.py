@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcap import cli, packing, serialize, spectra
@@ -209,6 +209,36 @@ def test_check_detects_tampering(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack", "--domain", "ellipsoid:1,2"],
+        ["pack", "--domain", "ellipsoid:1,2", "--json"],
+        ["pack", "--domain", "ellipsoid:1,2", "--search", "--json"],
+        ["plot", "--domain", "ellipsoid:1,2"],
+        ["check", "CERT"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_each_verb_verifies_its_certificate_once(argv, monkeypatch, capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(["pack", "--domain", "ellipsoid:1,2", "--out", str(path)])
+    calls = []
+    original = packing.verify_certificate
+
+    def counted(certificate):
+        calls.append(certificate)
+        return original(certificate)
+
+    # Every module that holds the verifier under its name, so that a call
+    # through an imported name is counted too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("symcap") and getattr(module, "verify_certificate", None) is original:
+            monkeypatch.setattr(module, "verify_certificate", counted)
+    assert run([str(path) if a == "CERT" else a for a in argv]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def _drop_second_simplex(data):
     del data["simplices"][1]
 
@@ -390,18 +420,36 @@ def _mutated_certificates(draw):
     return data
 
 
+def _shifted_first_simplex():
+    """The canonical P(1,1,2) certificate with its first simplex moved to
+    x = 1, where it leaves the polydisk: well-formed, and rejected."""
+    data = json.loads(json.dumps(_VALID_CERTIFICATES[1]))
+    data["simplices"][0]["transform"]["translation"] = [1, "0", "0"]
+    return data
+
+
 @settings(max_examples=300, deadline=None)
 @given(_mutated_certificates())
+@example(_VALID_CERTIFICATES[1])
+@example(_shifted_first_simplex())
 def test_check_fuzzed_certificates_exit_cleanly(data):
-    # Every certificate file gets a verdict or a documented error code.
+    # Every certificate file gets a verdict or a documented error code,
+    # and the exit code says which.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["check", str(path)])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert "Traceback" not in stdout + stderr
+    if code == EXIT_OK:
+        assert stdout.startswith("verified total ") and stderr == ""
+    elif code == EXIT_FAILED:
+        assert stdout.startswith("FAILED total ") and stderr == ""
+    else:
+        assert code in (EXIT_PARSE, EXIT_PRECONDITION)
+        assert stdout == "" and stderr.startswith("symcap: ")
 
 
 def test_spectrum_text_and_csv(capsys):

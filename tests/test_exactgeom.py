@@ -213,6 +213,20 @@ def test_simplex_capacity_must_be_positive():
             SimplexImage(capacity, SpecialAffineTransform.identity(2))
 
 
+def test_values_are_rationals_from_construction_on():
+    # A string translation once passed construction and then broke
+    # `contains` with a TypeError; both values are now Fractions.
+    g = SpecialAffineTransform(((1, 0), (0, 1)), ("1/4", 0))
+    assert g.translation == (F(1, 4), F(0))
+    assert all(type(t) is Fraction for t in g.translation)
+    simplex = SimplexImage("1/2", g)
+    assert simplex.capacity == F(1, 2) and type(simplex.capacity) is Fraction
+    assert contains(moment_polytope(ball(1)), simplex)
+    assert simplex == SimplexImage(F(1, 2), SpecialAffineTransform(g.matrix, (F(1, 4), F(0))))
+    with pytest.raises(ValueError):
+        SpecialAffineTransform(((1, 0), (0, 1)), (0.25, 0))
+
+
 @st.composite
 def unimodular(draw, n):
     """A product of elementary shears: an element of SL_n(Z)."""

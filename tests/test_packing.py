@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -83,6 +84,24 @@ def test_verify_rejects_overlap_and_escape():
     big = SimplexImage(F(3), SpecialAffineTransform.identity(2))
     escaping = PackingCertificate((delta, big), domain, F(4))
     assert not verify_certificate(escaping)
+
+
+def test_verified_is_computed_once_and_never_passed(monkeypatch):
+    delta = SimplexImage(F(1), SpecialAffineTransform.identity(2))
+    with pytest.raises(TypeError):
+        PackingCertificate((delta, delta), ellipsoid(1, 2), F(2), verified=True)
+    assert "verified" not in {f.name for f in dataclasses.fields(PackingCertificate)}
+
+    calls = _count_calls(monkeypatch, "verify_certificate")
+    overlapping = PackingCertificate((delta, delta), ellipsoid(1, 2), F(2))
+    assert overlapping.verified is False and overlapping.verified is False
+    assert calls == [(overlapping,)]
+
+    # The verdict takes no part in equality or hashing.
+    cert = canonical_certificate(ellipsoid(1, 2), F(1, 100))
+    fresh = PackingCertificate(cert.simplices, cert.domain, cert.total)
+    assert "verified" in vars(cert) and "verified" not in vars(fresh)
+    assert fresh == cert and hash(fresh) == hash(cert)
 
 
 def test_total_must_match_capacities():
@@ -469,6 +488,15 @@ def test_search_config_validation():
         SearchConfig(translation_grid=0)
     with pytest.raises(ValueError):
         SearchConfig(bisection_tolerance=F(0))
+    with pytest.raises(ValueError):
+        SearchConfig(bisection_tolerance="-1/100")
+
+
+def test_search_config_stores_a_rational_tolerance():
+    config = SearchConfig(bisection_tolerance="1/100")
+    assert config.bisection_tolerance == F(1, 100)
+    assert type(config.bisection_tolerance) is Fraction
+    assert config == SearchConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def test_verified_key_is_the_verifiers_verdict():
     assert serialize.certificate_to_json(overlapping)["verified"] is False
 
 
+def test_simplex_with_string_capacity_serializes():
+    # `SimplexImage("1/2", g)` once passed construction and then broke
+    # `simplex_to_json` with an AttributeError.
+    simplex = SimplexImage("1/2", SpecialAffineTransform.identity(2))
+    data = serialize.simplex_to_json(simplex)
+    assert data["capacity"] == "1/2"
+    assert serialize.simplex_from_json(data) == simplex
+
+
 def test_simplex_json_exposes_vertices():
     certificate = canonical_certificate(ellipsoid(1, 2), F(1, 100))
     data = serialize.simplex_to_json(certificate.simplices[0])
