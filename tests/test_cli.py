@@ -555,6 +555,8 @@ def test_plot_outputs_svg(capsys):
             ["--profile", "two_ball:a=1,b=1,eta=9/10,mu=4/5,delta=1/100"],
             "plot_profile_two_ball.svg",
         ),
+        (["--profile", "reeb:sigma=1/2,delta=1/10"], "plot_profile_reeb.svg"),
+        (["--profile", "reeb_composite:s=3/4,delta=1/10"], "plot_profile_reeb_composite.svg"),
     ],
 )
 def test_plot_golden_bytes(argv, golden, capsys):
