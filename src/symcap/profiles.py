@@ -3,10 +3,11 @@
 A profile is a function of the moment coordinate r = pi |z|^2 (on C^n)
 or x = pi |z_0|^2 (on CP^n, domain [0, 1]).  Pieces have degree <= 2 so
 derivatives are piecewise affine and every orbit radius is an exact
-rational.  The named constructions:
+rational.  Three constructions bend one cut-off mu_delta, the convex C^1
+quadratic spline equal to delta/2 below 0 and to the identity above
+delta; each is written out as its three quadratic pieces.  The named
+constructions, which `build_profile` dispatches on:
 
-* ``mu_delta``: the convex cut-off equal to delta/2 below 0 and to the
-  identity above delta, realized as a C^1 quadratic spline.
 * ``bump(a, eta, delta)``: mu_delta(eta (a - r)) - delta/2.
 * ``reeb(sigma, delta)``: -sigma (mu_delta(r - 1) + 1).
 * ``reeb_composite(s, delta)``: r - 2 s (mu_delta(r - 1) + 1).
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import rat
+from .rationals import is_infinite, rat
 
 CN = "cn"
 CPN = "cpn"
@@ -37,7 +38,7 @@ def _coeffs(c0=0, c1=0, c2=0) -> Coeffs:
     return (rat(c0), rat(c1), rat(c2))
 
 
-# The three kernels below run in Horner form and skip the terms of zero
+# The two kernels below run in Horner form and skip the terms of zero
 # coefficients, so an affine or constant piece costs no product with 0.
 # They equal the textbook sums exactly (tests/profile_reference.py).
 
@@ -58,31 +59,6 @@ def poly_derivative(coeffs: Coeffs, r: Fraction) -> Fraction:
     return c1
 
 
-def _times(c: Fraction, alpha: Fraction) -> Fraction:
-    """c * alpha, without a product when alpha is 1 or -1."""
-    if alpha == 1:
-        return c
-    if alpha == -1:
-        return -c
-    return c * alpha
-
-
-def poly_compose_affine(coeffs: Coeffs, alpha: Fraction, beta: Fraction) -> Coeffs:
-    """Coefficients of p(alpha r + beta)."""
-    c0, c1, c2 = coeffs
-    if c2:
-        if beta:
-            t = c2 * beta
-            c0 = c0 + (c1 + t) * beta
-            c1 = c1 + t + t
-        return (c0, _times(c1, alpha), _times(_times(c2, alpha), alpha))
-    if not c1:
-        return (c0, c1, c2)
-    if beta:
-        c0 = c0 + c1 * beta
-    return (c0, _times(c1, alpha), c2)
-
-
 @dataclass(frozen=True)
 class Space:
     kind: str
@@ -91,6 +67,8 @@ class Space:
     def __post_init__(self):
         if self.kind not in (CN, CPN):
             raise ValueError(f"unknown space kind {self.kind!r}")
+        if type(self.dim) is not int:
+            raise ValueError(f"dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -200,80 +178,23 @@ class TwoBallSystem:
 
 
 # ---------------------------------------------------------------------------
-# The cut-off spline and affine compositions of it
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CutoffSpline:
-    """mu_delta on the whole line: delta/2 below 0, identity above delta."""
-
-    delta: Fraction
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-
-    def segments(self) -> list[tuple[Fraction | None, Fraction | None, Coeffs]]:
-        """(lo, hi, coeffs) in x, with None for the two unbounded ends."""
-        d = self.delta
-        half = d / 2
-        return [
-            (None, _Z, (half, _Z, _Z)),
-            (_Z, d, (half, _Z, 1 / (d + d))),
-            (d, None, (_Z, _ONE, _Z)),
-        ]
-
-
-def mu_delta(delta) -> CutoffSpline:
-    return CutoffSpline(rat(delta))
-
-
-def _scaled_sum(scale: Fraction, c: Fraction, s: Fraction) -> Fraction:
-    """scale * c + s, without the terms that are 0."""
-    if not c:
-        return s
-    return scale * c + s if s else scale * c
-
-
-def _compose_cutoff(
-    spline: CutoffSpline,
-    alpha: Fraction,
-    beta: Fraction,
-    scale: Fraction,
-    shift_coeffs: Coeffs,
-) -> list[Piece]:
-    """Pieces on r >= 0 of scale * mu_delta(alpha r + beta) + shift(r)."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    raw = []
-    for x_lo, x_hi, coeffs in spline.segments():
-        ends = []
-        for x in (x_lo, x_hi):
-            if x is not None:
-                x = x - beta if alpha == 1 else (x - beta) / alpha
-            ends.append(x)
-        lo, hi = (ends[0], ends[1]) if alpha > 0 else (ends[1], ends[0])
-        composed = poly_compose_affine(coeffs, alpha, beta)
-        total = tuple(_scaled_sum(scale, c, s) for c, s in zip(composed, shift_coeffs))
-        raw.append((lo, hi, total))
-    raw.sort(key=lambda seg: (seg[0] is not None, seg[0]))
-    pieces = []
-    for lo, hi, coeffs in raw:
-        lo = _Z if lo is None else max(lo, _Z)
-        if hi is not None and hi <= 0:
-            continue
-        pieces.append(Piece(lo, hi, coeffs))
-    return pieces
-
-
-# ---------------------------------------------------------------------------
 # Named constructions
 # ---------------------------------------------------------------------------
 
 
+def _finite(**params) -> tuple[Fraction, ...]:
+    """The parameters as exact rationals, in order; the +inf sentinel is refused."""
+    values = []
+    for name, value in params.items():
+        value = rat(value)
+        if is_infinite(value):
+            raise ValueError(f"{name} must be finite")
+        values.append(value)
+    return tuple(values)
+
+
 def _params(**kwargs) -> tuple[tuple[str, Fraction], ...]:
-    return tuple(sorted((k, rat(v)) for k, v in kwargs.items()))
+    return tuple(sorted(kwargs.items()))
 
 
 def zero_profile(space: Space | None = None) -> RadialProfile:
@@ -287,42 +208,56 @@ def zero_profile(space: Space | None = None) -> RadialProfile:
 
 def bump(a, eta, delta, dim: int = 1) -> RadialProfile:
     """mu_delta(eta (a - r)) - delta/2: the basic positive implant."""
-    a, eta, delta = rat(a), rat(eta), rat(delta)
+    a, eta, delta = _finite(a=a, eta=eta, delta=delta)
     if a <= 0:
         raise ValueError("a must be positive")
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     if not 0 < delta < eta * a:
         raise ValueError("delta must lie in (0, eta a)")
-    spline = mu_delta(delta)
-    pieces = _compose_cutoff(spline, -eta, eta * a, Fraction(1), _coeffs(-delta / 2))
+    # eta (a - r) runs down through delta at the knee and through 0 at a.
+    knee = a - delta / eta
+    c2 = eta * eta / (delta + delta)
+    pieces = (
+        Piece(_Z, knee, (eta * a - delta / 2, -eta, _Z)),
+        Piece(knee, a, (a * a * c2, -(a + a) * c2, c2)),
+        Piece(a, None, (_Z, _Z, _Z)),
+    )
     return RadialProfile(
-        tuple(pieces),
+        pieces,
         Space(CN, dim),
         construction="bump",
         params=_params(a=a, eta=eta, delta=delta),
     )
 
 
+def _slowed_rotation(slope: Fraction, sigma: Fraction, delta: Fraction) -> tuple[Piece, ...]:
+    """slope r - sigma (mu_delta(r - 1) + 1), whose cut-off bends on [1, 1 + delta]."""
+    flat = -sigma * (delta / 2 + 1)
+    c2 = -sigma / (delta + delta)
+    knee = 1 + delta
+    return (
+        Piece(_Z, _ONE, (flat, slope, _Z)),
+        Piece(_ONE, knee, (flat + c2, slope - c2 - c2, c2)),
+        Piece(knee, None, (_Z, slope - sigma, _Z)),
+    )
+
+
 def reeb(sigma, delta, dim: int = 1) -> RadialProfile:
     """-sigma (mu_delta(r - 1) + 1): the slowed-down negative rotation."""
-    sigma, delta = rat(sigma), rat(delta)
+    sigma, delta = _finite(sigma=sigma, delta=delta)
     if not 0 <= sigma < 1:
         raise ValueError("sigma must lie in [0, 1)")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    # sigma = 0 is the zero profile, one piece: the plot window reads the
+    # last piece's lo.
     if sigma == 0:
-        profile = zero_profile(Space(CN, dim))
-        return RadialProfile(
-            profile.pieces,
-            profile.space,
-            construction="reeb",
-            params=_params(sigma=sigma, delta=delta),
-        )
-    spline = mu_delta(delta)
-    pieces = _compose_cutoff(spline, _ONE, -_ONE, -sigma, (-sigma, _Z, _Z))
+        pieces = zero_profile().pieces
+    else:
+        pieces = _slowed_rotation(_Z, sigma, delta)
     return RadialProfile(
-        tuple(pieces),
+        pieces,
         Space(CN, dim),
         construction="reeb",
         params=_params(sigma=sigma, delta=delta),
@@ -331,16 +266,13 @@ def reeb(sigma, delta, dim: int = 1) -> RadialProfile:
 
 def reeb_composite(s, delta, dim: int = 1) -> RadialProfile:
     """r - 2s (mu_delta(r - 1) + 1): full rotation against a doubled Reeb slowdown."""
-    s, delta = rat(s), rat(delta)
+    s, delta = _finite(s=s, delta=delta)
     if not Fraction(1, 2) < s < 1:
         raise ValueError("s must lie in (1/2, 1)")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    spline = mu_delta(delta)
-    scale = -2 * s
-    pieces = _compose_cutoff(spline, _ONE, -_ONE, scale, (scale, _ONE, _Z))
     return RadialProfile(
-        tuple(pieces),
+        _slowed_rotation(_ONE, s + s, delta),
         Space(CN, dim),
         construction="reeb_composite",
         params=_params(s=s, delta=delta),
@@ -349,7 +281,7 @@ def reeb_composite(s, delta, dim: int = 1) -> RadialProfile:
 
 def s_a(a, dim: int = 1) -> RadialProfile:
     """x - a on CP^n: the generator of the standard circle action."""
-    a = rat(a)
+    (a,) = _finite(a=a)
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
     pieces = (Piece(_Z, Fraction(1), _coeffs(-a, 1)),)
@@ -360,7 +292,7 @@ def s_a(a, dim: int = 1) -> RadialProfile:
 
 def k_a(a, dim: int = 1) -> RadialProfile:
     """min(S_a, 0); kinked at x = a."""
-    a = rat(a)
+    (a,) = _finite(a=a)
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
     pieces = (
@@ -374,7 +306,7 @@ def k_a(a, dim: int = 1) -> RadialProfile:
 
 def t_s(a, eps, s, dim: int = 1) -> RadialProfile:
     """max(K_a, s K_a - eps): the deformation family between K_a and -eps."""
-    a, eps, s = rat(a), rat(eps), rat(s)
+    a, eps, s = _finite(a=a, eps=eps, s=s)
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
     if not 0 < eps < a:
@@ -409,18 +341,17 @@ def t_s(a, eps, s, dim: int = 1) -> RadialProfile:
 
 def two_ball(a, b, eta, mu, delta, dim: int = 1) -> TwoBallSystem:
     """Implant bump(a, eta, delta) and -bump(b, mu, delta) on disjoint balls."""
+    a, b, eta, mu, delta = _finite(a=a, b=b, eta=eta, mu=mu, delta=delta)
     positive = bump(a, eta, delta, dim)
     negative = bump(b, mu, delta, dim).negate()
     return TwoBallSystem(
-        positive,
-        negative,
-        params=_params(a=rat(a), b=rat(b), eta=rat(eta), mu=rat(mu), delta=rat(delta)),
+        positive, negative, params=_params(a=a, b=b, eta=eta, mu=mu, delta=delta)
     )
 
 
 def _sized(builder):
     """A construction of fixed kind takes only the dimension of the space."""
-    return lambda space, **params: builder(**{"dim": space.dim, **params})
+    return lambda space, **params: builder(dim=space.dim, **params)
 
 
 _BUILDERS = {f.__name__: _sized(f) for f in (bump, reeb, reeb_composite, s_a, k_a, t_s, two_ball)}
@@ -428,8 +359,8 @@ _BUILDERS["zero"] = zero_profile  # the identity lives on C^n and CP^n alike
 
 
 def build_profile(name: str, space: Space | None = None, **params) -> RadialProfile | TwoBallSystem:
-    """Build a named construction on `space` (default C^1); an explicit
-    ``dim`` wins.  See the module docstring for the catalog."""
+    """Build a named construction on `space` (default C^1).  See the
+    module docstring for the catalog."""
     try:
         builder = _BUILDERS[name]
     except KeyError:

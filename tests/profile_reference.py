@@ -1,17 +1,17 @@
 """Test-only profile helpers: textbook polynomial kernels, pointwise
 cut-off values and conformal scaling.
 
-The package builds profiles from `CutoffSpline.segments()` alone; these
-helpers give the property tests an independent pointwise form of the
-spline and the conformally rescaled profile lam * h(r / lam).  The
-package's `poly_eval`, `poly_derivative` and `poly_compose_affine` run in
+The package writes its cut-off constructions out as closed-form pieces;
+these helpers give the property tests an independent pointwise form of
+the cut-off mu_delta and the conformally rescaled profile
+lam * h(r / lam).  The package's `poly_eval` and `poly_derivative` run in
 Horner form and skip zero terms; the textbook sums below are what they
 must equal exactly.
 """
 
 from fractions import Fraction
 
-from symcap.profiles import CN, CutoffSpline, Piece, RadialProfile
+from symcap.profiles import CN, Piece, RadialProfile
 from symcap.rationals import rat
 
 
@@ -25,20 +25,10 @@ def poly_derivative(coeffs, r) -> Fraction:
     return c1 + 2 * c2 * r
 
 
-def poly_compose_affine(coeffs, alpha, beta) -> tuple:
-    """Coefficients of p(alpha r + beta), expanded term by term."""
-    c0, c1, c2 = coeffs
-    return (
-        c0 + c1 * beta + c2 * beta * beta,
-        c1 * alpha + 2 * c2 * alpha * beta,
-        c2 * alpha * alpha,
-    )
-
-
-def cutoff_value(spline: CutoffSpline, x) -> Fraction:
+def cutoff_value(delta, x) -> Fraction:
     """mu_delta(x): delta/2 below 0, identity above delta, quadratic between."""
     x = rat(x)
-    d = spline.delta
+    d = rat(delta)
     if x <= 0:
         return d / 2
     if x >= d:
@@ -46,9 +36,9 @@ def cutoff_value(spline: CutoffSpline, x) -> Fraction:
     return d / 2 + x * x / (2 * d)
 
 
-def cutoff_derivative(spline: CutoffSpline, x) -> Fraction:
+def cutoff_derivative(delta, x) -> Fraction:
     x = rat(x)
-    d = spline.delta
+    d = rat(delta)
     if x <= 0:
         return Fraction(0)
     if x >= d:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcap import cli, packing, serialize, spectra
+from symcap import cli, packing, profiles, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.profiles import CN, CPN, Space
 from symcap.rationals import fmt, rat
@@ -517,6 +517,39 @@ def test_spectrum_zero_profile_follows_space(space, capsys):
     assert _build_system(args).space == space
     # Like every construction, zero refuses parameters it does not take.
     assert run(["spectrum", "--profile", "zero:a=1"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["s_a:a=1/4,dim=2", "--space", "cpn:1"],
+        ["bump:a=1,eta=9/10,delta=1/100,dim=inf"],
+    ],
+    ids=["dim-on-cpn", "dim-inf-on-cn"],
+)
+def test_spectrum_dim_in_profile_is_a_bad_parameter(argv, capsys):
+    # The dimension comes from --space alone.
+    assert run(["spectrum", "--profile", *argv]) == EXIT_PARSE
+    assert "bad parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        ("bump:a=inf,eta=9/10,delta=1/100", "a"),
+        ("reeb:sigma=1/2,delta=inf", "delta"),
+        ("reeb_composite:s=3/4,delta=inf", "delta"),
+        ("two_ball:a=1,b=inf,eta=9/10,mu=4/5,delta=1/100", "b"),
+        ("t_s:a=1/2,eps=1/10,s=inf", "s"),
+    ],
+)
+def test_infinite_construction_parameter_exits_3(spec, name, capsys, monkeypatch):
+    def piece_built(*args):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr(profiles, "Piece", piece_built)
+    assert run(["spectrum", "--profile", spec]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"symcap: {name} must be finite\n"
 
 
 def test_spectrum_recap(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcap.profiles import (
+    CN,
     CPN,
     Piece,
     RadialProfile,
@@ -12,8 +14,6 @@ from symcap.profiles import (
     build_profile,
     bump,
     k_a,
-    mu_delta,
-    poly_compose_affine,
     poly_derivative,
     poly_eval,
     reeb,
@@ -34,36 +34,30 @@ F = Fraction
 # The polynomial kernels against the textbook sums
 # ---------------------------------------------------------------------------
 
-# Values that send the kernels down their shortcuts: a zero coefficient,
-# alpha = 1 or -1, beta = 0.
+# Values that send the kernels down their shortcuts: a zero coefficient.
 _SPECIAL = st.sampled_from([F(0), F(1), F(-1)])
 _SCALARS = st.one_of(_SPECIAL, st.fractions(min_value=-5, max_value=5, max_denominator=60))
 _ARGUMENTS = st.one_of(_SCALARS, st.integers(min_value=-5, max_value=5))
 
 
-def _assert_kernels_match(coeffs, r, alpha, beta):
+def _assert_kernels_match(coeffs, r):
     pairs = [
         (poly_eval(coeffs, r), reference.poly_eval(coeffs, r)),
         (poly_derivative(coeffs, r), reference.poly_derivative(coeffs, r)),
     ]
-    pairs += zip(
-        poly_compose_affine(coeffs, alpha, beta),
-        reference.poly_compose_affine(coeffs, alpha, beta),
-    )
     for fast, textbook in pairs:
         assert type(fast) is Fraction
         assert fast == textbook
 
 
-@given(st.tuples(_SCALARS, _SCALARS, _SCALARS), _ARGUMENTS, _ARGUMENTS, _ARGUMENTS)
+@given(st.tuples(_SCALARS, _SCALARS, _SCALARS), _ARGUMENTS)
 @settings(max_examples=300)
-def test_polynomial_kernels_equal_the_textbook_sums(coeffs, r, alpha, beta):
-    _assert_kernels_match(coeffs, r, alpha, beta)
+def test_polynomial_kernels_equal_the_textbook_sums(coeffs, r):
+    _assert_kernels_match(coeffs, r)
 
 
 def test_polynomial_kernels_on_every_shortcut():
-    # Each zero pattern of (c1, c2), alpha = +-1 or not, beta = 0 or not,
-    # and Fraction or int arguments, all in combination.
+    # Each zero pattern of (c1, c2) at Fraction and int arguments.
     patterns = [
         (F(2, 3), F(0), F(0)),
         (F(2, 3), F(-5, 4), F(0)),
@@ -71,44 +65,98 @@ def test_polynomial_kernels_on_every_shortcut():
         (F(2, 3), F(-5, 4), F(7, 5)),
         (F(0), F(0), F(0)),
     ]
-    alphas = [F(1), F(-1), 1, -1, F(-3, 7), 2]
-    betas = [F(0), 0, F(-1), F(5, 9), 3]
     radii = [F(0), 0, F(11, 13), 4]
     for coeffs in patterns:
-        for alpha in alphas:
-            for beta in betas:
-                for r in radii:
-                    _assert_kernels_match(coeffs, r, alpha, beta)
+        for r in radii:
+            _assert_kernels_match(coeffs, r)
 
 
 # ---------------------------------------------------------------------------
-# The cut-off spline
+# The cut-off mu_delta (test reference)
 # ---------------------------------------------------------------------------
 
 
 def test_mu_delta_values():
-    spline = mu_delta(F(1, 10))
-    assert cutoff_value(spline, -1) == F(1, 20)
-    assert cutoff_value(spline, F(1, 20)) == F(1, 16)
-    assert cutoff_value(spline, F(1, 5)) == F(1, 5)
-    assert cutoff_value(spline, F(1, 10)) == F(1, 10)
+    delta = F(1, 10)
+    assert cutoff_value(delta, -1) == F(1, 20)
+    assert cutoff_value(delta, F(1, 20)) == F(1, 16)
+    assert cutoff_value(delta, F(1, 5)) == F(1, 5)
+    assert cutoff_value(delta, F(1, 10)) == F(1, 10)
 
 
 def test_mu_delta_derivative_monotone():
-    spline = mu_delta(F(1, 10))
-    assert cutoff_derivative(spline, -1) == 0
-    assert cutoff_derivative(spline, F(1, 20)) == F(1, 2)
-    assert cutoff_derivative(spline, F(1, 5)) == 1
-    with pytest.raises(ValueError):
-        mu_delta(0)
+    delta = F(1, 10)
+    assert cutoff_derivative(delta, -1) == 0
+    assert cutoff_derivative(delta, F(1, 20)) == F(1, 2)
+    assert cutoff_derivative(delta, F(1, 5)) == 1
 
 
 @given(st.fractions(min_value="-2", max_value="2"))
 @settings(max_examples=100)
 def test_mu_delta_convex_envelope(x):
     # mu_delta dominates both the constant delta/2 and the identity.
-    spline = mu_delta(F(1, 7))
-    assert cutoff_value(spline, x) >= max(F(1, 14), x)
+    assert cutoff_value(F(1, 7), x) >= max(F(1, 14), x)
+
+
+# ---------------------------------------------------------------------------
+# The cut-off constructions against their defining formulas
+# ---------------------------------------------------------------------------
+
+_POSITIVE = st.fractions(min_value=0, max_value=5, max_denominator=40).filter(bool)
+_OPEN_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(
+    lambda x: 0 < x < 1
+)
+_RADII = st.fractions(min_value=0, max_value=8, max_denominator=40)
+
+
+def _assert_formula(profile, r, value, slope):
+    """The profile and its derivative equal the formula at r and at every
+    breakpoint; the derivative is the chain rule through mu_delta."""
+    for x in (r, *profile.breakpoints()):
+        assert profile.value(x) == value(x)
+        assert profile.derivative(x) == slope(x)
+
+
+@given(_POSITIVE, _OPEN_UNIT, _OPEN_UNIT, _RADII)
+@settings(max_examples=200)
+def test_bump_matches_its_formula(a, eta, t, r):
+    delta = t * eta * a  # any delta in (0, eta a)
+    _assert_formula(
+        bump(a, eta, delta),
+        r,
+        lambda x: cutoff_value(delta, eta * (a - x)) - delta / 2,
+        lambda x: -eta * cutoff_derivative(delta, eta * (a - x)),
+    )
+
+
+@given(st.one_of(st.just(F(0)), _OPEN_UNIT), _POSITIVE, _RADII)
+@settings(max_examples=200)
+def test_reeb_matches_its_formula(sigma, delta, r):
+    _assert_formula(
+        reeb(sigma, delta),
+        r,
+        lambda x: -sigma * (cutoff_value(delta, x - 1) + 1),
+        lambda x: -sigma * cutoff_derivative(delta, x - 1),
+    )
+
+
+@given(_OPEN_UNIT, _POSITIVE, _RADII)
+@settings(max_examples=200)
+def test_reeb_composite_matches_its_formula(t, delta, r):
+    s = (1 + t) / 2  # any s in (1/2, 1)
+    _assert_formula(
+        reeb_composite(s, delta),
+        r,
+        lambda x: x - 2 * s * (cutoff_value(delta, x - 1) + 1),
+        lambda x: 1 - 2 * s * cutoff_derivative(delta, x - 1),
+    )
+
+
+def test_space_dimension_must_be_an_integer():
+    assert Space(CN, 2).dim == 2
+    for dim in (F(2), math.inf, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Space(CN, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +180,7 @@ def test_reeb_values():
     assert profile.value(1) == F(-21, 40)
     assert profile.value(2) == -1
     assert reeb(0, F(1, 10)).value(3) == 0
+    assert len(reeb(0, F(1, 10)).pieces) == 1  # the plot window reads its lo
 
 
 def test_reeb_composite_values():
