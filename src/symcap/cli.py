@@ -259,8 +259,14 @@ def _run_plot(args) -> str:
         return render_packing(certificate)
     if args.profile:
         return render_profile(_build_system(args))
-    pairs = dict(chunk.partition("=")[::2] for chunk in args.deformation.split(","))
-    missing = {"a", "eps", "s"} - set(pairs)
+    keys = {"a", "eps", "s"}
+    pairs = {}
+    for chunk in args.deformation.split(","):
+        key, eq, value = chunk.partition("=")
+        if not eq or key not in keys:
+            raise ParseFailure(f"bad deformation parameter {chunk!r}")
+        pairs[key] = value
+    missing = keys - set(pairs)
     if missing:
         raise ParseFailure(f"deformation spec missing {sorted(missing)}")
     return render_deformation(

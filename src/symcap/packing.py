@@ -101,6 +101,8 @@ class SearchConfig:
         if self.translation_grid < 1:
             raise ValueError("translation grid must be >= 1")
         object.__setattr__(self, "bisection_tolerance", rat(self.bisection_tolerance))
+        if is_infinite(self.bisection_tolerance):
+            raise ValueError("bisection tolerance must be finite")
         if self.bisection_tolerance <= 0:
             raise ValueError("bisection tolerance must be positive")
 

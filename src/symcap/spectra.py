@@ -326,12 +326,7 @@ def reeb_slope_law(sigmas, delta) -> dict:
             raise AssertionError(f"pure slowdown spectrum not a singleton: {spectrum}")
         spectra[sigma] = spectrum[0]
     ok = all(value == -sigma * unit for sigma, value in spectra.items())
-    pair_ok = all(
-        spectra[s2] - spectra[s1] == -(s2 - s1) * unit
-        for s1 in speeds
-        for s2 in speeds
-    )
-    return {"spectra": spectra, "slope": -unit, "ok": ok and pair_ok}
+    return {"spectra": spectra, "slope": -unit, "ok": ok}
 
 
 # Denominator of the rational grid on [0, 1] that deformation_family_check scans.

@@ -12,7 +12,7 @@ import math
 import os
 import random
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,16 +331,19 @@ def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     """Compare exact orbit radii against a float grid scan of h'(r) = k.
 
     Samples h' on [0, R] in steps of `_STEP` and finds the roots of
-    h'(r) - k for every integer k in one pass.  A sample whose slope is an
-    integer k is itself a root; consecutive such samples with the same k
-    form a run.  A pair of neighbouring samples whose slopes have different
-    floors brackets each k strictly between them, and every sign change of
-    h' - k there is bisected to `_TOL`.  Each root needs a matching exact
-    radius within 10 `_TOL` or a covering plateau widened by as much; a
-    run that one plateau covers end to end is checked once, any other run
-    root by root.  Roots are checked by k, then by sample index, so the
-    first root without a counterpart is named.  Last, each isolated exact
-    radius needs an oracle root within 10 `_TOL`.
+    h'(r) - k for every integer k in one pass.  The pieces are decided in
+    floats alone: a float r lies on the first piece whose float `hi` is at
+    least r, so a sample on a float breakpoint takes the left piece.  A
+    sample whose slope is an integer k is itself a root; consecutive such
+    samples with the same k form a run.  A pair of neighbouring samples
+    whose slopes have different floors brackets each k strictly between
+    them, and every sign change of h' - k there is bisected to `_TOL`.
+    Each root needs a matching exact radius within 10 `_TOL` or a covering
+    plateau widened by as much; a run that one plateau covers end to end
+    is checked once, any other run root by root.  Roots are checked by k,
+    then by sample index, so the first root without a counterpart is
+    named.  Last, each isolated exact radius needs an oracle root within
+    10 `_TOL`.
     """
     last = profile.pieces[-1]
     r_max = float(last.hi) if last.hi is not None else float(last.lo) + 2.0
@@ -436,21 +439,14 @@ def _near(ascending: Sequence[float], x: float) -> bool:
 
 
 def _derivative(profile: RadialProfile) -> Callable[[float], float]:
-    """h'(r) at a float r: ``c1 + 2.0 * c2 * r`` on the piece that
-    `_piece_index` finds by bisecting the breakpoints as floats.
-
-    The exact lookup ``piece_at(_clamp_rational(r))`` rounds r by at most
-    about 5e-13, so the two pick the same piece wherever r is farther
-    than `_EXACT_WINDOW` from every float breakpoint; nearer, the table
-    asks the exact lookup.  Every sample thus lands on the exact
-    lookup's piece, the left one at a breakpoint: r = 0.35000000000000003,
-    one ulp right of the float of t_s's kink 7/20, rounds onto the kink.
-    """
-    piece_index = _piece_index(profile)
+    """h'(r) at a float r: ``c1 + 2.0 * c2 * r`` on the first piece whose
+    float `hi` is at least r, the last piece past every breakpoint.  At a
+    float breakpoint the left piece wins."""
+    breaks = [float(piece.hi) for piece in profile.pieces[:-1]]
     coeffs = [(float(c1), float(c2)) for _, c1, c2 in (p.coeffs for p in profile.pieces)]
 
     def deriv(r: float) -> float:
-        c1, c2 = coeffs[piece_index(r)]
+        c1, c2 = coeffs[bisect_left(breaks, r)]
         return c1 + 2.0 * c2 * r
 
     return deriv
@@ -458,58 +454,20 @@ def _derivative(profile: RadialProfile) -> Callable[[float], float]:
 
 def _sample_slopes(profile: RadialProfile, samples: int) -> list[float]:
     """``_derivative(profile)(i * _STEP)`` for each i < `samples`, bit for
-    bit, a piece at a time.  The samples more than two steps clear of every
-    breakpoint's `_EXACT_WINDOW` take their piece's slope directly; only
-    the few nearer ones go through the piece lookup."""
-    deriv = _derivative(profile)
-    breaks = [float(piece.hi) for piece in profile.pieces[:-1]]
+    bit, a piece at a time: each piece takes the samples up to and
+    including its float `hi`, and the last piece takes the rest."""
+    radii = _SampleRun(range(samples))
+    last = len(profile.pieces) - 1
     slopes: list[float] = []
     for p, piece in enumerate(profile.pieces):
         _, c1, c2 = piece.coeffs
         c1, twice = float(c1), 2.0 * float(c2)
-        stop = samples
-        if p < len(breaks):
-            stop = min(stop, math.floor((breaks[p] - _EXACT_WINDOW) / _STEP) - 1)
+        stop = samples if p == last else bisect_right(radii, float(piece.hi))
         if twice == 0.0:  # twice * r is twice itself for every r >= 0
             slopes += [c1 + twice] * (stop - len(slopes))
         else:
             slopes += [c1 + twice * (i * _STEP) for i in range(len(slopes), stop)]
-        if p < len(breaks):
-            guard = min(samples, math.ceil((breaks[p] + _EXACT_WINDOW) / _STEP) + 2)
-            slopes += [deriv(i * _STEP) for i in range(len(slopes), guard)]
     return slopes
-
-
-# Half-width of the band around each float breakpoint where `_piece_index`
-# asks the exact lookup; far wider than the 5e-13 that `_clamp_rational`
-# moves a float by.
-_EXACT_WINDOW = 1e-9
-
-
-def _piece_index(profile: RadialProfile) -> Callable[[float], int]:
-    """The index of the piece that ``piece_at(_clamp_rational(r))`` picks."""
-    pieces = profile.pieces
-    last = pieces[-1]
-    breaks = [float(piece.hi) for piece in pieces[:-1]]
-
-    def index(r: float) -> int:
-        i = bisect_left(breaks, r)
-        if (i < len(breaks) and breaks[i] - r <= _EXACT_WINDOW) or (
-            i > 0 and r - breaks[i - 1] <= _EXACT_WINDOW
-        ):
-            return pieces.index(profile.piece_at(_clamp_rational(r, last)))
-        return i
-
-    return index
-
-
-def _clamp_rational(r: float, last) -> Fraction:
-    value = Fraction(r).limit_denominator(10**12)
-    if value < 0:
-        return Fraction(0)
-    if last.hi is not None and value > last.hi:
-        return last.hi
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ def sample_count(profile: RadialProfile) -> int:
 
 
 def derivative(profile: RadialProfile):
-    """h'(r) at a float r, on the piece that `verify._piece_index` picks."""
-    piece_index = verify._piece_index(profile)
+    """h'(r) at a float r, on the first piece whose float `hi` is at least
+    r (the last piece past every breakpoint), found by a linear scan."""
+    breaks = [float(piece.hi) for piece in profile.pieces[:-1]]
     coeffs = [(float(c1), float(c2)) for _, c1, c2 in (p.coeffs for p in profile.pieces)]
 
     def deriv(r: float) -> float:
-        c1, c2 = coeffs[piece_index(r)]
+        index = next((i for i, hi in enumerate(breaks) if r <= hi), len(breaks))
+        c1, c2 = coeffs[index]
         return c1 + 2.0 * c2 * r
 
     return deriv

@@ -598,6 +598,18 @@ def test_plot_golden_bytes(argv, golden, capsys):
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "spec,chunk",
+    [("a=1/2,eps=1/10,s=1/2,zz=3", "zz=3"), ("a=1/2,eps=1/10,s=1/2,junk", "junk")],
+    ids=["unknown-key", "no-equals"],
+)
+def test_plot_rejects_a_bad_deformation_parameter(spec, chunk, capsys):
+    assert run(["plot", "--deformation", spec]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"symcap: bad deformation parameter {chunk!r}\n"
+
+
 def test_plot_requires_exactly_one_target():
     assert run(["plot"]) == EXIT_PARSE
     assert (
@@ -650,6 +662,16 @@ def test_precondition_errors_exit_3(capsys):
         run(["spectrum", "--profile", "bump:a=1,eta=9/10,delta=1"]) == EXIT_PRECONDITION
     )
     capsys.readouterr()
+
+
+def test_infinite_search_tolerance_exits_3(capsys, monkeypatch):
+    def searched(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "search_two_balls", searched)
+    argv = ["pack", "--domain", "ellipsoid:1,2", "--search", "--tolerance", "inf"]
+    assert run(argv) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "symcap: bisection tolerance must be finite\n"
 
 
 def test_runs_in_one_process_share_one_parser(capsys, tmp_path):

@@ -490,6 +490,8 @@ def test_search_config_validation():
         SearchConfig(bisection_tolerance=F(0))
     with pytest.raises(ValueError):
         SearchConfig(bisection_tolerance="-1/100")
+    with pytest.raises(ValueError, match="bisection tolerance must be finite"):
+        SearchConfig(bisection_tolerance="inf")
 
 
 def test_search_config_stores_a_rational_tolerance():

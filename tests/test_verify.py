@@ -1,8 +1,8 @@
-"""The float orbit oracle: its piece lookup, its failure verdicts, its work."""
+"""The float orbit oracle: its piece rule, its failure verdicts, its work."""
 
 import dataclasses
+import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 import oracle_reference
@@ -16,41 +16,47 @@ F = Fraction
 STEP = 1e-4  # the oracle's default sample step
 
 
-def _exact_index(profile: RadialProfile, r: float) -> int:
-    last = profile.pieces[-1]
-    return profile.pieces.index(profile.piece_at(verify._clamp_rational(r, last)))
+def _seeded_profiles() -> list[RadialProfile]:
+    profiles = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        a, eta = F(rng.randint(2, 12), 4), F(rng.randint(1, 9), 10)
+        profiles.append(bump(a, eta, eta * a * F(rng.randint(1, 9), 100)))
+        a = F(rng.randint(1, 9), 10)
+        profiles.append(t_s(a, a * F(rng.randint(1, 9), 10), F(rng.randint(0, 10), 10)))
+        profiles.append(k_a(F(rng.randint(1, 9), 10)))
+    return profiles
 
 
-def _sample_indices(profile: RadialProfile) -> set[int]:
-    """Every sample within 50 steps of a breakpoint, every 97th elsewhere."""
-    last = profile.pieces[-1]
-    r_max = max(float(last.hi) if last.hi is not None else float(last.lo) + 2.0, 1.0)
-    count = int(r_max / STEP) + 1
-    indices = set(range(0, count, 97))
-    for b in profile.breakpoints():
-        centre = round(float(b) / STEP)
-        indices.update(i for i in range(centre - 50, centre + 51) if 0 <= i < count)
-    return indices
+def _params_id(profile: RadialProfile) -> str:
+    return profile.construction + "".join(f"-{k}={v}" for k, v in profile.params)
 
 
-@pytest.mark.parametrize("profile", verify._sample_profiles(), ids=lambda p: p.construction)
-def test_piece_table_picks_the_exact_piece(profile):
-    index = verify._piece_index(profile)
-    for i in sorted(_sample_indices(profile)):
-        r = i * STEP
-        assert index(r) == _exact_index(profile, r), f"sample {i}, r = {r!r}"
+def _piece_slope(piece, r: float) -> float:
+    _, c1, c2 = piece.coeffs
+    return float(c1) + 2.0 * float(c2) * r
 
 
-def test_piece_table_defers_to_the_exact_lookup_at_a_kink():
-    # Sample 3500 of t_s lies one ulp right of the float of the kink 7/20;
-    # the exact lookup rounds it onto the kink, and so onto the left piece.
+def test_a_float_breakpoint_belongs_to_its_left_piece():
+    # Sample 5000 of k_a lies exactly on the float of its kink 1/2.
+    profile = k_a(F(1, 2))
+    left, right = profile.pieces[0], profile.pieces[1]
+    r = 5000 * STEP
+    assert r == float(left.hi) == 0.5
+    assert _piece_slope(left, r) != _piece_slope(right, r)
+    assert verify._derivative(profile)(r) == _piece_slope(left, r)
+    assert verify._sample_slopes(profile, 5001)[5000] == _piece_slope(left, r)
+    # Sample 3500 of t_s lies one ulp right of the float of its kink 7/20,
+    # so it takes the piece right of the kink; the verdict is unchanged.
     profile = t_s(F(1, 2), F(1, 10), F(1, 3))
-    r = 3500 * STEP
     kink = next(i for i, piece in enumerate(profile.pieces) if piece.hi == F(7, 20))
-    breaks = [float(piece.hi) for piece in profile.pieces[:-1]]
-    assert r == 0.35000000000000003
-    assert bisect_left(breaks, r) == kink + 1
-    assert verify._piece_index(profile)(r) == _exact_index(profile, r) == kink
+    left, right = profile.pieces[kink], profile.pieces[kink + 1]
+    r = 3500 * STEP
+    assert r == 0.35000000000000003 == math.nextafter(float(left.hi), 1.0)
+    assert _piece_slope(left, r) != _piece_slope(right, r)
+    assert verify._derivative(profile)(r) == _piece_slope(right, r)
+    assert verify._sample_slopes(profile, 3501)[3500] == _piece_slope(right, r)
+    assert verify.oracle_orbit_match(profile) == (True, "")
 
 
 @pytest.mark.parametrize(
@@ -80,7 +86,10 @@ def test_oracle_fails_closed(profile, edit, detail, monkeypatch):
     assert verify.oracle_orbit_match(profile) == (False, detail)
 
 
-def test_oracle_makes_few_exact_lookups(monkeypatch):
+def test_oracle_makes_no_exact_lookup(monkeypatch):
+    profiles = verify._sample_profiles()
+    orbits = {id(profile): find_orbits(profile) for profile in profiles}
+    monkeypatch.setattr(verify, "find_orbits", lambda p: orbits[id(p)])
     calls = 0
     piece_at = RadialProfile.piece_at
 
@@ -90,35 +99,26 @@ def test_oracle_makes_few_exact_lookups(monkeypatch):
         return piece_at(self, r)
 
     monkeypatch.setattr(RadialProfile, "piece_at", counted)
-    assert verify.case_orbit_oracle().passed
-    # 14 runs and bisected roots over the ten profiles; a check per root
-    # would make about 136,000.
-    assert calls <= 100
+    assert all(verify.oracle_orbit_match(profile) == (True, "") for profile in profiles)
+    assert calls == 0
 
 
-@pytest.mark.parametrize("profile", verify._sample_profiles(), ids=lambda p: p.construction)
+@pytest.mark.parametrize(
+    "profile",
+    verify._sample_profiles()
+    + [pytest.param(p, id=_params_id(p)) for p in _seeded_profiles()],
+    ids=lambda p: p.construction,
+)
 def test_slopes_are_the_per_sample_derivative(profile):
     expected = oracle_reference.reference_slopes(profile)
     slopes = verify._sample_slopes(profile, len(expected))
     assert list(map(float.hex, slopes)) == list(map(float.hex, expected))
 
 
-def _seeded_profiles() -> list[RadialProfile]:
-    profiles = []
-    for seed in range(3):
-        rng = random.Random(seed)
-        a, eta = F(rng.randint(2, 12), 4), F(rng.randint(1, 9), 10)
-        profiles.append(bump(a, eta, eta * a * F(rng.randint(1, 9), 100)))
-        a = F(rng.randint(1, 9), 10)
-        profiles.append(t_s(a, a * F(rng.randint(1, 9), 10), F(rng.randint(0, 10), 10)))
-        profiles.append(k_a(F(rng.randint(1, 9), 10)))
-    return profiles
-
-
 @pytest.mark.parametrize(
     "profile",
     verify._sample_profiles() + _seeded_profiles(),
-    ids=lambda p: p.construction + "".join(f"-{k}={v}" for k, v in p.params),
+    ids=_params_id,
 )
 def test_oracle_matches_the_per_k_scan(profile):
     assert verify.oracle_orbit_match(profile) == oracle_reference.oracle_orbit_match(profile)
