@@ -53,18 +53,25 @@ def parse_domain(text: str) -> ToricDomain:
     return ToricDomain(kind, tuple(sorted(params)))
 
 
+def _parse_pairs(text: str, what: str) -> dict[str, str]:
+    """The "key=value" chunks of a comma-separated list, each key once."""
+    pairs: dict[str, str] = {}
+    for chunk in text.split(","):
+        key, eq, value = chunk.partition("=")
+        if not eq or not key:
+            raise ParseFailure(f"bad {what} parameter {chunk!r}")
+        if key in pairs:
+            raise ParseFailure(f"repeated {what} parameter {key!r}")
+        pairs[key] = value
+    return pairs
+
+
 def parse_profile_spec(text: str) -> tuple[str, dict]:
     name, _, rest = text.partition(":")
     if not name:
         raise ParseFailure(f"profile must look like 'bump:a=1,eta=9/10,delta=1/100', got {text!r}")
-    params: dict = {}
-    if rest:
-        for chunk in rest.split(","):
-            key, eq, value = chunk.partition("=")
-            if not eq or not key:
-                raise ParseFailure(f"bad profile parameter {chunk!r}")
-            params[key] = parse_rational(value)
-    return name, params
+    pairs = _parse_pairs(rest, "profile") if rest else {}
+    return name, {key: parse_rational(value) for key, value in pairs.items()}
 
 
 def parse_space(text: str) -> Space:
@@ -79,8 +86,11 @@ def parse_space(text: str) -> Space:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -260,12 +270,10 @@ def _run_plot(args) -> str:
     if args.profile:
         return render_profile(_build_system(args))
     keys = {"a", "eps", "s"}
-    pairs = {}
-    for chunk in args.deformation.split(","):
-        key, eq, value = chunk.partition("=")
-        if not eq or key not in keys:
-            raise ParseFailure(f"bad deformation parameter {chunk!r}")
-        pairs[key] = value
+    pairs = _parse_pairs(args.deformation, "deformation")
+    for key, value in pairs.items():
+        if key not in keys:
+            raise ParseFailure(f"bad deformation parameter {key + '=' + value!r}")
     missing = keys - set(pairs)
     if missing:
         raise ParseFailure(f"deformation spec missing {sorted(missing)}")

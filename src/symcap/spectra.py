@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import ceil, floor
 
 from .profiles import (
     CPN,
@@ -62,68 +63,52 @@ class SpectrumReport:
         raise KeyError(name)
 
 
-def _plateau_overlaps(interval, radius) -> bool:
-    lo, hi = interval
-    return radius >= lo and (hi is None or radius <= hi)
-
-
 def find_orbits(profile: RadialProfile) -> list[OrbitRecord]:
     """All 1-periodic loci: integer-slope plateaus, isolated integer-slope
-    radii, the origin, and (on CP^n) the two boundary fixed loci."""
+    radii, the origin, and (on CP^n) the two boundary fixed loci.
+
+    One pass over the pieces, which come in order.  An integer-slope affine
+    piece that continues the last plateau extends it.  On a quadratic piece
+    h' is affine, so each integer between its end slopes is taken at
+    exactly one radius of the piece."""
     plateaus: list[OrbitRecord] = []
-    isolated: list[OrbitRecord] = []
+    isolated: dict[tuple[int, Fraction], OrbitRecord] = {}
     for piece in profile.pieces:
         c0, c1, c2 = piece.coeffs
         if c2 == 0:
-            if c1.denominator == 1:
-                # Affine piece with integer slope: the action is the
-                # intercept c0, constant along the plateau.
+            if c1.denominator != 1:
+                continue
+            # Integer slope: the action is the intercept c0, constant
+            # along the plateau.
+            last = plateaus[-1] if plateaus else None
+            if last and (last.winding, last.action, last.interval[1]) == (c1, c0, piece.lo):
+                plateaus[-1] = replace(last, interval=(last.interval[0], piece.hi))
+            else:
                 plateaus.append(
-                    OrbitRecord(
-                        "plateau",
-                        int(c1),
-                        c0,
-                        interval=(piece.lo, piece.hi),
-                    )
+                    OrbitRecord("plateau", int(c1), c0, interval=(piece.lo, piece.hi))
                 )
             continue
         d_lo = poly_derivative(piece.coeffs, piece.lo)
-        if piece.hi is None:
-            raise ValueError("quadratic tail piece is not allowed")
         d_hi = poly_derivative(piece.coeffs, piece.hi)
-        k_min, k_max = min(d_lo, d_hi), max(d_lo, d_hi)
-        k = -(-k_min // 1)  # ceil
-        while k <= k_max:
+        for k in range(ceil(min(d_lo, d_hi)), floor(max(d_lo, d_hi)) + 1):
             radius = (k - c1) / (c2 + c2)
-            if piece.lo <= radius <= piece.hi:
-                # h(r) - r h'(r) with h'(r) = k: the c1 terms cancel.
-                action = c0 - c2 * radius * radius
-                isolated.append(
-                    OrbitRecord("interior", int(k), action, radius=radius)
-                )
-            k += 1
+            # h(r) - r h'(r) with h'(r) = k: the c1 terms cancel.  A radius
+            # on a breakpoint shared by two quadratics is listed once.
+            isolated.setdefault(
+                (k, radius), OrbitRecord("interior", k, c0 - c2 * radius * radius, radius=radius)
+            )
 
-    plateaus = _merge_plateaus(plateaus)
-    isolated = [
+    orbits = plateaus + [
         orbit
-        for orbit in isolated
+        for (k, radius), orbit in isolated.items()
         if not any(
-            p.winding == orbit.winding and _plateau_overlaps(p.interval, orbit.radius)
+            p.winding == k
+            and p.interval[0] <= radius
+            and (p.interval[1] is None or radius <= p.interval[1])
             for p in plateaus
         )
     ]
-    seen = set()
-    deduped = []
-    for orbit in isolated:
-        key = (orbit.winding, orbit.radius)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(orbit)
-
-    orbits = plateaus + deduped
-    if not any(
-        p.locus == "plateau" and _plateau_overlaps(p.interval, _Z) for p in plateaus
-    ):
+    if not plateaus or plateaus[0].interval[0] != 0:
         orbits.append(OrbitRecord("center", 0, profile.value(0)))
     if profile.space.kind == CPN:
         orbits.append(OrbitRecord("boundary-min", 0, profile.value(0)))
@@ -141,62 +126,22 @@ def _orbit_sort_key(orbit: OrbitRecord):
     return (orbit.locus, position, orbit.winding)
 
 
-def _merge_plateaus(plateaus: list[OrbitRecord]) -> list[OrbitRecord]:
-    merged: list[OrbitRecord] = []
-    for orbit in sorted(plateaus, key=lambda p: p.interval[0]):
-        if merged:
-            last = merged[-1]
-            if (
-                last.winding == orbit.winding
-                and last.action == orbit.action
-                and last.interval[1] == orbit.interval[0]
-            ):
-                merged[-1] = replace(last, interval=(last.interval[0], orbit.interval[1]))
-                continue
-        merged.append(orbit)
-    return merged
-
-
 def _normalization_shift(profile: RadialProfile) -> Fraction:
-    """Mean of the profile against the pushforward density n (1-x)^(n-1)."""
+    """Mean of the profile against the pushforward density n (1-x)^(n-1).
+
+    In y = 1 - x a piece is a0 + a1 y + a2 y^2, whose mass against the
+    density n y^(n-1) on [0, y] is y^n (a0 + n y (a1/(n+1) + a2 y/(n+2)))."""
     n = profile.space.dim
-    density = _binomial_poly(n)
+
+    def mass(a0, a1, a2, y):
+        return y**n * (a0 + n * y * (a1 / (n + 1) + a2 * y / (n + 2)))
+
     total = _Z
     for piece in profile.pieces:
-        product = _poly_multiply(list(piece.coeffs), density)
-        total += _poly_integrate(product, piece.lo, piece.hi)
+        c0, c1, c2 = piece.coeffs
+        a = (c0 + c1 + c2, -c1 - c2 - c2, c2)
+        total += mass(*a, 1 - piece.lo) - mass(*a, 1 - piece.hi)
     return total
-
-
-def _binomial_poly(n: int) -> list[Fraction]:
-    # n (1 - x)^(n-1) expanded in powers of x.
-    from math import comb
-
-    return [
-        Fraction(n * comb(n - 1, j) * (-1) ** j) for j in range(n)
-    ]
-
-
-def _poly_multiply(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_Z] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_integrate(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
-    def antiderivative(x: Fraction) -> Fraction:
-        total = _Z
-        power = x
-        for j, c in enumerate(coeffs):
-            total += c * power / (j + 1)
-            power *= x
-        return total
-
-    return antiderivative(hi) - antiderivative(lo)
 
 
 def action_spectrum(

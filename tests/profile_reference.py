@@ -1,15 +1,18 @@
 """Test-only profile helpers: textbook polynomial kernels, pointwise
-cut-off values and conformal scaling.
+cut-off values, conformal scaling and the CP^n normalization shift.
 
 The package writes its cut-off constructions out as closed-form pieces;
 these helpers give the property tests an independent pointwise form of
 the cut-off mu_delta and the conformally rescaled profile
 lam * h(r / lam).  The package's `poly_eval` and `poly_derivative` run in
 Horner form and skip zero terms; the textbook sums below are what they
-must equal exactly.
+must equal exactly.  The package computes the CP^n normalization shift
+in closed form; `normalization_shift` below expands the density, multiplies
+it into each piece and integrates term by term.
 """
 
 from fractions import Fraction
+from math import comb
 
 from symcap.profiles import CN, Piece, RadialProfile
 from symcap.rationals import rat
@@ -68,3 +71,21 @@ def scale_conformal(profile: RadialProfile, factor) -> RadialProfile:
         params=profile.params,
         smooth=profile.smooth,
     )
+
+
+def normalization_shift(profile: RadialProfile) -> Fraction:
+    """Mean of the profile against the pushforward density n (1-x)^(n-1)."""
+    n = profile.space.dim
+    # n (1 - x)^(n-1) expanded in powers of x.
+    density = [Fraction(n * comb(n - 1, j) * (-1) ** j) for j in range(n)]
+    total = Fraction(0)
+    for piece in profile.pieces:
+        product = [Fraction(0)] * (len(piece.coeffs) + n - 1)
+        for i, c in enumerate(piece.coeffs):
+            for j, d in enumerate(density):
+                product[i + j] += c * d
+        total += sum(
+            c * (piece.hi ** (j + 1) - piece.lo ** (j + 1)) / (j + 1)
+            for j, c in enumerate(product)
+        )
+    return total

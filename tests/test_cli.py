@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,8 @@ def test_parse_profile_spec():
         parse_profile_spec("bump:a")
     with pytest.raises(ParseFailure):
         parse_profile_spec(":a=1")
+    with pytest.raises(ParseFailure):
+        parse_profile_spec("bump:=1")
 
 
 def test_parse_space():
@@ -552,6 +555,46 @@ def test_infinite_construction_parameter_exits_3(spec, name, capsys, monkeypatch
     assert capsys.readouterr().err == f"symcap: {name} must be finite\n"
 
 
+def test_spectrum_cpn3_golden_bytes(capsys):
+    # Without --norm: the shift in dimension 3, not only on CP^1.
+    path = Path(__file__).parent / "data" / "spectrum_t_s_cpn3.json"
+    argv = ["spectrum", "--profile", "t_s:a=1/2,eps=1/10,s=1/3", "--space", "cpn:3", "--json"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+def test_spectrum_shift_too_long_to_print_exits_3_at_once(capsys):
+    # The shift of k_a (a = 1/3) on CP^20000 has a denominator of 3^20000.
+    start = time.perf_counter()
+    argv = ["spectrum", "--profile", "k_a:a=1/3", "--space", "cpn:20000"]
+    assert run(argv) == EXIT_PRECONDITION
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too long to print" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["spectrum", "--profile", "bump:a=1,a=2,eta=9/10,delta=1/100"],
+            "repeated profile parameter 'a'",
+        ),
+        (
+            ["plot", "--deformation", "a=1/2,eps=1/10,s=1/2,s=1"],
+            "repeated deformation parameter 's'",
+        ),
+    ],
+    ids=["profile", "deformation"],
+)
+def test_repeated_key_exits_2(argv, message, capsys):
+    assert run(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"symcap: {message}\n"
+
+
 def test_spectrum_recap(capsys):
     assert run(
         ["spectrum", "--profile", "s_a:a=1/4", "--space", "cpn:1", "--recap", "1"]
@@ -620,6 +663,25 @@ def test_plot_requires_exactly_one_target():
 # ---------------------------------------------------------------------------
 # Exit codes and determinism
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cap", "--domain", "ellipsoid:1,2"],
+        ["spectrum", "--profile", "zero"],
+        ["verify"],
+    ],
+    ids=["cap", "spectrum", "verify"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_exits_2(argv, target, capsys, tmp_path):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    assert run([*argv, "--out", str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"symcap: cannot write {out}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_parse_errors_exit_2(capsys):

@@ -22,6 +22,7 @@ from symcap.profiles import (
 )
 from symcap.spectra import (
     RECAPPING_GENERATOR,
+    OrbitRecord,
     SpectrumReport,
     action_spectrum,
     deformation_family_check,
@@ -32,7 +33,7 @@ from symcap.spectra import (
     spectral_norm_candidates,
 )
 
-from profile_reference import scale_conformal
+from profile_reference import normalization_shift, scale_conformal
 
 F = Fraction
 
@@ -163,6 +164,78 @@ def test_reeb_composite_spectra_at_the_grid_corners(s, delta, spectrum):
     assert action_spectrum(reeb_composite(s, delta)).spectrum == spectrum
 
 
+def _cn1(*pieces, smooth=True) -> RadialProfile:
+    """A hand-built C^1 profile from (lo, hi, (c0, c1, c2)) triples."""
+    pieces = tuple(
+        Piece(F(lo), None if hi is None else F(hi), tuple(map(F, c))) for lo, hi, c in pieces
+    )
+    return RadialProfile(pieces, Space(CN, 1), smooth=smooth)
+
+
+def _interior(k, r, action):
+    return OrbitRecord("interior", k, F(action), radius=F(r))
+
+
+def _plateau(k, action, lo, hi):
+    return OrbitRecord("plateau", k, F(action), interval=(F(lo), None if hi is None else F(hi)))
+
+
+def _center(action):
+    return OrbitRecord("center", 0, F(action))
+
+
+def test_contiguous_identical_affine_pieces_give_one_plateau():
+    # r^2 / 2 up to r = 1, then r - 1/2 written as three pieces; the slope-1
+    # radius r = 1 of the quadratic lies on the plateau and is not listed.
+    profile = _cn1(
+        (0, 1, (0, 0, F(1, 2))),
+        (1, 2, (F(-1, 2), 1, 0)),
+        (2, 3, (F(-1, 2), 1, 0)),
+        (3, None, (F(-1, 2), 1, 0)),
+    )
+    assert find_orbits(profile) == [_center(0), _interior(0, 0, 0), _plateau(1, F(-1, 2), 1, None)]
+
+
+def test_integer_slope_at_a_plateau_end_is_not_listed():
+    # A winding-0 plateau on [0, 1], a quadratic from slope 0 to 1, a
+    # winding-1 plateau from r = 2: both ends of the quadratic lie on a
+    # plateau of their winding.  The first plateau covers the origin.
+    profile = _cn1(
+        (0, 1, (0, 0, 0)),
+        (1, 2, (F(1, 2), -1, F(1, 2))),
+        (2, None, (F(-3, 2), 1, 0)),
+    )
+    assert find_orbits(profile) == [_plateau(0, 0, 0, 1), _plateau(1, F(-3, 2), 2, None)]
+
+
+def test_radius_on_a_shared_quadratic_breakpoint_is_listed_once():
+    # r^2 / 2 then 1/2 - r + r^2: both quadratics have slope 1 at r = 1.
+    profile = _cn1(
+        (0, 1, (0, 0, F(1, 2))),
+        (1, 2, (F(1, 2), -1, 1)),
+        (2, None, (F(-7, 2), 3, 0)),
+    )
+    assert find_orbits(profile) == [
+        _center(0),
+        _interior(0, 0, 0),
+        _interior(1, 1, F(-1, 2)),
+        _interior(2, F(3, 2), F(-7, 4)),
+        _plateau(3, F(-7, 2), 2, None),
+    ]
+
+
+def test_integer_slope_at_a_kink_is_kept():
+    # r^2 / 2 up to r = 1, kinked into slope 2: the quadratic's slope 1 at
+    # the kink is an orbit of winding 1, off the winding-2 plateau.
+    profile = _cn1((0, 1, (0, 0, F(1, 2))), (1, None, (F(-3, 2), 2, 0)), smooth=False)
+    assert find_orbits(profile) == [
+        _center(0),
+        _interior(0, 0, 0),
+        _interior(1, 1, F(-1, 2)),
+        _plateau(2, F(-3, 2), 1, None),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Spectra
 # ---------------------------------------------------------------------------
@@ -180,6 +253,52 @@ def test_s_a_spectrum_with_recapping():
     base = action_spectrum(s_a(F(1, 4)))
     assert set(base.spectrum) == {F(-1, 4), F(3, 4)}
     assert base.normalization_shift == F(1, 2) - F(1, 4)
+
+
+def _seeded_cpn_profiles(seed: int) -> list[RadialProfile]:
+    """s_a, k_a, t_s and a kinked piecewise quadratic on CP^n, n = 1 to 5,
+    with drawn parameters."""
+    rng = random.Random(seed)
+
+    def draw(lo: int, hi: int, den: int) -> Fraction:
+        return F(rng.randint(lo, hi), den)
+
+    profiles = []
+    for dim in range(1, 6):
+        a = draw(1, 99, 100)
+        profiles += [
+            s_a(a, dim),
+            k_a(a, dim),
+            t_s(a, a * draw(1, 99, 100), draw(0, 12, 12), dim),
+        ]
+        cuts = sorted({draw(1, 99, 100) for _ in range(rng.randint(0, 4))})
+        pieces, value = [], draw(-20, 20, 7)
+        for lo, hi in zip([F(0)] + cuts, cuts + [F(1)]):
+            c1, c2 = draw(-30, 30, 7), draw(-30, 30, 7)
+            c0 = value - c1 * lo - c2 * lo * lo
+            pieces.append(Piece(lo, hi, (c0, c1, c2)))
+            value = c0 + c1 * hi + c2 * hi * hi
+        profiles.append(RadialProfile(tuple(pieces), Space(CPN, dim), smooth=False))
+    return profiles
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_normalization_shift_matches_the_expanded_integral(seed):
+    for profile in _seeded_cpn_profiles(seed):
+        shift = action_spectrum(profile).normalization_shift
+        assert shift == normalization_shift(profile)
+
+
+@pytest.mark.parametrize(
+    "profile, shift",
+    [
+        (k_a(F(1, 3), 2), F(-8, 81)),
+        (t_s(F(1, 2), F(1, 10), F(1, 3), 3), F(-162439, 960000)),
+    ],
+)
+def test_normalization_shift_values(profile, shift):
+    # k_a on CP^2: the integral of 2 (x - a)(1 - x) over [0, a] is -a^2 + a^3/3.
+    assert action_spectrum(profile).normalization_shift == shift
 
 
 def test_zero_profile_spectrum():
