@@ -147,6 +147,15 @@ def test_pack_search_3d_grid_4_golden_bytes(domain, golden, capsys):
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+def test_pack_search_3d_bisecting_golden_bytes(capsys):
+    # A fractional box that does not pack at its ceiling: the search
+    # bisects, with unequal splits, to 1701/1024.
+    path = Path(__file__).parent / "data" / "pack_search_ellipsoid_1_5_4_7_4.json"
+    argv = ["pack", "--domain", "ellipsoid:1,5/4,7/4", "--search", "--grid", "6", "--unequal"]
+    assert run([*argv, "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "domain,bound",
     [("ellipsoid:1,2,3", "50"), ("ellipsoid:1,2", "50"), ("ellipsoid:1,1,1,1", "2")],
