@@ -98,6 +98,9 @@ class RadialProfile:
             raise ValueError("profile needs at least one piece")
         if self.pieces[0].lo != 0:
             raise ValueError("profile must start at 0")
+        for piece in self.pieces:
+            if piece.hi is not None and piece.hi < piece.lo:
+                raise ValueError(f"piece [{piece.lo}, {piece.hi}] runs backwards")
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.hi is None or left.hi != right.lo:
                 raise ValueError("pieces must be contiguous")

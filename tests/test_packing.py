@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import placement_reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -425,6 +426,41 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
             for tau in _grid(box, q):
                 simplex = SimplexImage(capacity, SpecialAffineTransform(matrix, tau))
                 assert contains(polytope, simplex) == (tau in taus)
+
+
+# A pentagon with a facet x <= 3/2 whose last coefficient is 0, on a box
+# that starts at x = 1/2.
+_PENTAGON = Polytope.from_halfspaces(
+    [((-1, 0), F(-1, 2)), ((0, -1), F(0)), ((1, 0), F(3, 2)), ((0, 1), F(2)), ((1, 1), F(3))]
+)
+
+
+@pytest.mark.parametrize(
+    "polytope,bound",
+    [
+        (moment_polytope(ellipsoid(1, 2)), 2),
+        (_QUADRILATERAL, 2),
+        (_PENTAGON, 2),
+        (moment_polytope(polydisk(1, 1, 2)), 1),
+        (moment_polytope(ellipsoid(1, 2, 3)), 1),
+        (moment_polytope(ellipsoid(1, F(5, 4), F(7, 4))), 1),
+    ],
+    ids=["E(1,2)", "quadrilateral", "pentagon", "P(1,1,2)", "E(1,2,3)", "E(1,5/4,7/4)"],
+)
+def test_contained_placements_match_the_per_matrix_scan(polytope, bound):
+    # The same families, matrices and translations, in the same order, as
+    # the scan of every leading grid point per slack vector; the
+    # unfiltered list holds matrices that do not fit the box.
+    box = polytope.bounding_box()
+    for capacity in [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4)]:
+        lists = [_unimodular_matrices(polytope.dimension, bound)]
+        lists.append(packing._fitting_matrices(bound, box, capacity))
+        for matrices, q in product(lists, range(1, 9)):
+            scale = _scale(polytope, box, q, capacity)
+            expected = placement_reference.contained_placements(
+                polytope, box, capacity, matrices, q, scale
+            )
+            assert _contained_placements(polytope, box, capacity, matrices, q, scale) == expected
 
 
 @pytest.mark.parametrize(

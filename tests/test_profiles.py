@@ -297,6 +297,18 @@ def test_profile_validation():
             Space(CPN, 1),
             smooth=False,
         )
+    # h(r) = r throughout, so only the order of the ends is wrong; a
+    # zero-length piece stays legal.
+    line = (F(0), F(1), F(0))
+    with pytest.raises(ValueError, match="runs backwards"):
+        RadialProfile(
+            (Piece(F(0), F(2), line), Piece(F(2), F(1), line), Piece(F(1), None, line)),
+            Space("cn", 1),
+        )
+    RadialProfile(
+        (Piece(F(0), F(1), line), Piece(F(1), F(1), line), Piece(F(1), None, line)),
+        Space("cn", 1),
+    )
 
 
 def test_negate_round_trip():
