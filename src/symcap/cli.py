@@ -243,7 +243,8 @@ def _run_check(args) -> tuple[str, bool]:
         with open(args.certificate, encoding="utf-8") as handle:
             data = json.load(handle)
         certificate = serialize.certificate_from_json(data)
-    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        # RecursionError: `json.load` on arrays or objects nested too deep.
         raise ParseFailure(f"cannot read certificate: {exc}") from exc
     ok = certificate.verified
     if args.json:

@@ -28,6 +28,7 @@ from .capacities import c2b_closed_form
 from .exactgeom import (
     ELLIPSOID,
     POLYDISK,
+    DimensionMismatch,
     Polytope,
     SimplexImage,
     SpecialAffineTransform,
@@ -66,6 +67,8 @@ class PackingCertificate:
     total: Fraction
 
     def __post_init__(self):
+        if any(s.dimension != self.domain.dimension for s in self.simplices):
+            raise DimensionMismatch("simplices and domain differ in dimension")
         if self.total != self.simplices[0].capacity + self.simplices[1].capacity:
             raise ValueError("total must equal the sum of the two capacities")
 
@@ -301,8 +304,8 @@ def _contained_placements(
     nu . tau <= beta - c h_nu(M) per halfspace, with the facet height
     h_nu(M) = max(0, max_j nu . M e_j).  That is linear in tau, so the
     translations depend on M only through these slacks.  The heights are
-    computed for every matrix at once, a column at a time over the
-    matrices' entries and only for the nonzero coefficients of nu.  When a
+    computed for every matrix at once, by `_dots` on the coordinates of
+    the matrices' columns.  When a
     slack vector first appears, its translations are scanned only inside
     the window that keeps its first matrix in the bounding box: row i of M
     spans tau_i + c [min(0, min row_i), max(0, max row_i)].  Containment
@@ -311,7 +314,6 @@ def _contained_placements(
     whose image does not fit the box gets an empty window and no scan.
     Empty when c is not positive or exceeds the box's least width.
     """
-    n = polytope.dimension
     step = scale // q
     c_scaled = int(capacity * scale)
     if not matrices or not 0 < c_scaled <= min(int((hi - lo) * scale) for lo, hi in box):
@@ -321,18 +323,12 @@ def _contained_placements(
 
     normals = [nu for nu, _ in polytope.constraints]
     betas = [int(beta * scale) for _, beta in polytope.constraints]
-    # entries[i][j] holds entry (i, j) of every matrix, in order.
+    # entries[i][j] holds entry (i, j) of every matrix, in order, so
+    # columns[j] holds the coordinates of every matrix's column j.  The
+    # rows are transposed one at a time, which keeps the peak low.
     entries = [list(zip(*row)) for row in zip(*matrices)]
-    heights = []
-    for nu in normals:
-        columns = []
-        for j in range(n):
-            terms = [_times(a, entries[i][j]) for i, a in enumerate(nu) if a]
-            dots = terms[0]
-            for term in terms[1:]:
-                dots = map(add, dots, term)
-            columns.append(dots)
-        heights.append(map(max, repeat(0), *columns))
+    columns = list(zip(*entries))
+    heights = [map(max, repeat(0), *(_dots(nu, column) for column in columns)) for nu in normals]
 
     # One group per height vector, which gives the slacks one to one.
     groups: dict[tuple, list] = {}
@@ -382,6 +378,18 @@ def _contained_placements(
     return families
 
 
+def _dots(u, coordinates):
+    """u . v for every vector v, lazily and in order, from the vectors'
+    coordinates column by column: coordinates[i] holds the i-th coordinate
+    of every v.  Zero entries of u cost nothing and +-1 no product
+    (`_times`); u is not zero."""
+    terms = [_times(a, column) for a, column in zip(u, coordinates) if a]
+    dots = terms[0]
+    for term in terms[1:]:
+        dots = map(add, dots, term)
+    return dots
+
+
 def _times(a: int, values):
     """a * v for each v of `values`, lazily: `values` itself for a = 1, one
     negation each for a = -1."""
@@ -427,10 +435,11 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
     if not first or not second:
         return None
     columns: dict[tuple, int] = {}
-    # Per family: its taus, its matrices and, per column slot, the matrices'
-    # column indices into `columns`.  `first` leads, `second` ends the list.
+    # Per family: its taus, their coordinates, its matrices and, per column
+    # slot, the matrices' column indices into `columns`.  `first` leads,
+    # `second` ends the list.
     families = [
-        (taus, matrices, [
+        (taus, list(zip(*taus)), matrices, [
             [columns.setdefault(col, len(columns)) for col in slot]
             for slot in zip(*(zip(*matrix) for matrix in matrices))
         ])
@@ -438,52 +447,53 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
     ]
     families_a, families_b = families[: len(first)], families[-len(second) :]
     edges = set()
-    for _, matrices, _ in families:
+    for _, _, matrices, _ in families:
         for matrix in matrices:
             cols = list(zip(*matrix))
             cols += [tuple(map(sub, p, r)) for p, r in combinations(cols, 2)]
             edges.update(map(_primitive, cols))
-    distinct = list(columns)
+    # The distinct columns' coordinates, in index order.
+    table = list(zip(*columns))
     directions = set()
-    for rows in combinations(sorted(edges), len(distinct[0]) - 1):
+    for rows in combinations(sorted(edges), len(table) - 1):
         u = _primitive(cofactor_vector(rows))
         if u is not None:
             directions.update((u, tuple(map(neg, u))))
 
     c_a, c_b = int(cap_a * scale), int(cap_b * scale)
     for u in sorted(directions):
-        dots = [sum(map(mul, u, col)) for col in distinct]
-        values = [[sum(map(mul, u, tau)) for tau in taus] for taus, _, _ in families]
+        dots = list(_dots(u, table))
+        values = [list(_dots(u, coordinates)) for _, coordinates, _, _ in families]
         # The highest min along u is minus the lowest max along -u; it
         # bounds the families of `first` worth a look.
-        highs = [-max(v) for v in values[-len(second) :]]
-        lows = [min(v) for v in values[: len(first)]]
-        b = _lowest_max(families_b, highs, [-d for d in dots], c_b)
-        a = _lowest_max(families_a, lows, dots, c_a, -b[0])
+        negated = [list(map(neg, line)) for line in values[-len(second) :]]
+        b = _lowest_max(families_b, negated, list(map(neg, dots)), c_b)
+        a = _lowest_max(families_a, values[: len(first)], dots, c_a, -b[0])
         if a is not None and a[0] <= -b[0]:
-            return _placement(cap_a, a, u, scale), _placement(cap_b, b, u, scale, -1)
+            return _placement(cap_a, a, scale), _placement(cap_b, b, scale)
     return None
 
 
-def _lowest_max(families, lows, dots, capacity: int, bound=math.inf):
-    """(value, matrix, taus) of the placement with the lowest max along u,
-    the smaller matrix on ties, among the families whose lowest u.tau (in
-    `lows`) is at most `bound` (others have no max below it)."""
+def _lowest_max(families, values, dots, capacity: int, bound=math.inf):
+    """(value, matrix, tau) of the placement with the lowest max along u,
+    the smaller matrix on ties, and of its translations the first in list
+    order at the lowest u.tau (values[k] holds u.tau for family k).  Only
+    families whose lowest u.tau is at most `bound` are looked at (others
+    have no max below it)."""
     best = None
-    for (taus, matrices, index), low in zip(families, lows):
+    for (taus, _, matrices, index), line in zip(families, values):
+        low = min(line)
         if low <= bound:
             heights = map(max, repeat(0), *[map(dots.__getitem__, slot) for slot in index])
             height, matrix = min(zip(heights, matrices))
-            found = (low + capacity * height, matrix, taus)
-            if best is None or found[:2] < best[:2]:
-                best = found
+            found = (low + capacity * height, matrix)
+            if best is None or found < best[:2]:
+                best = (*found, taus[line.index(low)])
     return best
 
 
-def _placement(capacity, found, u, scale, sign=1) -> SimplexImage:
-    # The found matrix with its first translation at the lowest sign * u.tau.
-    _, matrix, taus = found
-    tau = min(taus, key=lambda t: sign * sum(map(mul, u, t)))
+def _placement(capacity, found, scale) -> SimplexImage:
+    _, matrix, tau = found
     translation = tuple(Fraction(t, scale) for t in tau)
     return SimplexImage(capacity, SpecialAffineTransform(matrix, translation))
 

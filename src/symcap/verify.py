@@ -160,12 +160,7 @@ def case_packing() -> CaseResult:
         cert = canonical_certificate(domain, eps)
         if cert.total != Fraction(199, 100) or not cert.verified:
             return _predicate_case("packing", False, f"canonical {domain.describe()}")
-    config = SearchConfig(
-        matrix_entry_bound=2,
-        translation_grid=20,
-        bisection_tolerance=Fraction(1, 100),
-        equal_balls=False,
-    )
+    config = SearchConfig(equal_balls=False)
     for domain, floor in (
         (ellipsoid(1, 2), Fraction(199, 100)),
         (polydisk(1, 1), Fraction(199, 100)),

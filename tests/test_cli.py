@@ -340,6 +340,17 @@ def _empty_domain(data):
     }
 
 
+def _domain_of_higher_dimension(data):
+    data["domain"]["params"] = ["1", "2", "3"]
+
+
+def _one_dimensional_domain(data):
+    data["domain"] = {
+        "kind": "polytope",
+        "halfspaces": [{"normal": [-1], "offset": "0"}, {"normal": [1], "offset": "2"}],
+    }
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -358,6 +369,8 @@ def _empty_domain(data):
         _huge_exponent_offset,
         _unbounded_domain,
         _empty_domain,
+        _domain_of_higher_dimension,
+        _one_dimensional_domain,
     ],
 )
 def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):
@@ -368,6 +381,17 @@ def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):
     path.write_text(json.dumps(data))
     assert run(["check", str(path)]) == EXIT_PARSE
     assert capsys.readouterr().out == ""
+
+
+def test_check_deeply_nested_json_exits_2(capsys, tmp_path):
+    # Nested deeper than the interpreter's recursion limit, `json.load`
+    # raises RecursionError; it is a malformed file like any other.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert run(["check", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symcap: cannot read certificate: ")
 
 
 def _valid_certificates():

@@ -3,9 +3,11 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import mul
 
 import placement_reference
 import pytest
+import sweep_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -610,6 +612,12 @@ _TOUCHING_FACET_PAIR = (
     (F(3, 2), [([(1, 0, -1)], [((0, -1, 0), (1, 1, 0), (1, -1, 1))])]),
     (F(1, 2), [([(0, 0, 2)], [((0, 0, 1), (0, 1, 0), (-1, 0, -1))])]),
 )
+# Separated first along u = (-1, -1), along which both lists hold two
+# translations at their extreme: the sweep returns the first of each.
+_TIED_PAIR = (
+    (F(1, 2), [([(1, 1), (2, 0)], [((1, 0), (0, 1))])]),
+    (F(1, 2), [([(-1, 0), (0, -1)], [((1, 0), (0, 1))])]),
+)
 
 
 @st.composite
@@ -674,6 +682,60 @@ def test_sweep_matches_interiors_disjoint(probe):
     if pair is not None:
         assert pair[0] in flat[0] and pair[1] in flat[1]
         assert interiors_disjoint(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe=_probe())
+@example(probe=_EDGE_PAIR)
+@example(probe=_TOUCHING_EDGE_PAIR)
+@example(probe=_TOUCHING_FACET_PAIR)
+@example(probe=_TIED_PAIR)
+def test_sweep_matches_the_reference_sweep(probe):
+    # The same pair, or None, as the sweep with one sum of products per
+    # dot and a second pass for the winning translation.
+    first, second = probe
+    expected = sweep_reference.find_disjoint_pair(*first, *second, 2)
+    assert _find_disjoint_pair(*first, *second, 2) == expected
+
+
+@pytest.mark.parametrize(
+    "polytope,q",
+    [
+        (moment_polytope(ellipsoid(1, 2)), 4),
+        (_QUADRILATERAL, 6),
+        (_PENTAGON, 4),
+        (moment_polytope(ellipsoid(1, 2, 3)), 2),
+        (moment_polytope(ellipsoid(1, F(5, 4), F(7, 4))), 2),
+    ],
+    ids=["E(1,2)", "quadrilateral", "pentagon", "E(1,2,3)", "E(1,5/4,7/4)"],
+)
+def test_sweep_matches_the_reference_sweep_on_search_lists(polytope, q):
+    # Whole probes of a search, with many tied translations per family,
+    # at equal and unequal splits that pack and that do not.
+    box = polytope.bounding_box()
+    for cap_a, cap_b in [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1), F(1))]:
+        scale = _scale(polytope, box, q, cap_a, cap_b)
+        lists = [
+            _contained_placements(polytope, box, c, packing._fitting_matrices(2, box, c), q, scale)
+            for c in (cap_a, cap_b)
+        ]
+        first, second = lists if cap_a != cap_b else (lists[0], lists[0])
+        expected = sweep_reference.find_disjoint_pair(cap_a, first, cap_b, second, scale)
+        assert _find_disjoint_pair(cap_a, first, cap_b, second, scale) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from([0, 1, -1, 2, -2, 3, -5]), min_size=n, max_size=n).filter(any),
+            st.lists(st.tuples(*[st.integers(-9, 9)] * n), min_size=1, max_size=6),
+        )
+    )
+)
+def test_dots_match_sums_of_products(data):
+    u, vectors = data
+    assert list(packing._dots(u, list(zip(*vectors)))) == [sum(map(mul, u, v)) for v in vectors]
 
 
 def test_scan_has_no_pair_budget():
