@@ -156,6 +156,14 @@ def test_pack_search_3d_bisecting_golden_bytes(capsys):
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+def test_pack_search_2d_golden_bytes(capsys):
+    # A fine grid on a 2-D ellipsoid that packs at its ceiling.
+    path = Path(__file__).parent / "data" / "pack_search_ellipsoid_3_4.json"
+    argv = ["pack", "--domain", "ellipsoid:3,4", "--search", "--grid", "200", "--json"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "domain,bound",
     [("ellipsoid:1,2,3", "50"), ("ellipsoid:1,2", "50"), ("ellipsoid:1,1,1,1", "2")],

@@ -205,6 +205,35 @@ def test_search_2d_certificates_are_pinned(halfspaces, total, placements):
     assert found == placements
 
 
+@pytest.mark.parametrize(
+    "halfspaces,config,total,placements",
+    [
+        (
+            _ORTHANT + [((1, 2), 3), ((2, 1), 3)],
+            SearchConfig(translation_grid=660),
+            F(1023, 512),
+            ((((-1, 0), (0, -1)), (1, 1)), (((1, 0), (0, 1)), (0, 0))),
+        ),
+        (
+            _ORTHANT + [((1, 1), 2)],
+            SearchConfig(translation_grid=120, equal_balls=False),
+            F(2),
+            ((((-1, -1), (1, 0)), (2, 0)), (((-1, -1), (1, 0)), (1, 0))),
+        ),
+    ],
+    ids=["quadrilateral-660", "triangle-120-unequal"],
+)
+def test_fine_grid_certificates_are_pinned(halfspaces, config, total, placements):
+    # Long grid lines: hundreds of contained translations share each
+    # prefix, so every family is mostly run interiors.
+    domain = polytope_domain(Polytope.from_halfspaces(halfspaces))
+    cert = search_two_balls(domain, config)
+    assert cert.total == total
+    assert [s.capacity for s in cert.simplices] == [total / 2, total / 2]
+    found = tuple((s.transform.matrix, s.transform.translation) for s in cert.simplices)
+    assert found == placements
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(packing, name)
