@@ -10,7 +10,12 @@ bounded slice of the special affine group, never an exact optimizer.
 Each probe of the search decides, in integer arithmetic, whether any two
 contained grid placements have disjoint interiors, with one sweep over
 the directions that can separate them (`_find_disjoint_pair`); a failed
-probe is a complete scan of its grid.  The verifier keeps its own,
+probe is a complete scan of its grid.  A probe lists only the two ends of
+each grid line of contained translations (`_contained_placements`), where
+every direction finds its lowest value on the line, and a search keeps
+what does not depend on the capacity across its probes: the facet-height
+groups of each fitting matrix list and the sweep's directions of each
+matrix set.  The verifier keeps its own,
 independent implementation, the box and facet checks plus the rational
 LP of `interiors_disjoint`, and every returned certificate has passed it.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product, repeat
-from operator import add, mul, neg, sub
+from operator import add, and_, floordiv, le, mul, neg, sub
 
 from .capacities import c2b_closed_form
 from .exactgeom import (
@@ -53,10 +58,12 @@ ENUMERATION_BUDGET = 10**6
 
 # Budget on the translation grid, in points of step 1/q on the bounding box,
 # prod(floor(w_i q) + 1) over its widths w_i; each probe scans at most that
-# grid once per slack vector.  On the same machine the quadrilateral {x, y >=
-# 0, x + 2y <= 3, 2x + y <= 3} at q = 660 (982,081 points) searches in 3.3 s
-# with a 97 MB peak, 0.85 s of it in `_contained_placements` and most of the
-# rest in the sweep; `pack --search --grid 8` on E(1,2,7) has 8,721 points.
+# grid once per slack vector, at a cost per grid line (run of the last
+# coordinate), not per point.  On the same machine the quadrilateral {x, y
+# >= 0, x + 2y <= 3, 2x + y <= 3} at q = 660 (982,081 points, 991 lines)
+# searches in 0.04-0.08 s with a 17 MB peak, about 16.5 MB of it the
+# interpreter and imports; `pack --search --grid 8` on E(1,2,7) has 8,721
+# points.
 GRID_BUDGET = 10**6
 
 
@@ -276,6 +283,15 @@ def _unimodular_matrices(n: int, bound: int, spreads=None) -> tuple:
     return tuple(matrices)
 
 
+def _fitting_spreads(bound: int, box, capacity: Fraction) -> tuple | None:
+    """The row spreads that select `_fitting_matrices`, or None when c is
+    not positive or exceeds the box's least width."""
+    widths = [hi - lo for lo, hi in box]
+    if not 0 < capacity <= min(widths):
+        return None
+    return tuple(min(2 * bound, math.floor(w / capacity)) for w in widths)
+
+
 def _fitting_matrices(bound: int, box, capacity: Fraction) -> tuple:
     """The matrices of `_unimodular_matrices` whose capacity-`capacity`
     simplex image fits the box: row i spans c times its spread along axis
@@ -283,36 +299,43 @@ def _fitting_matrices(bound: int, box, capacity: Fraction) -> tuple:
     Limits are clamped to 2 * bound, the widest spread of a row, so that
     small capacities share one list.  Empty, with nothing enumerated, when
     c is not positive or exceeds the box's least width."""
-    widths = [hi - lo for lo, hi in box]
-    if not 0 < capacity <= min(widths):
-        return ()
-    spreads = tuple(min(2 * bound, math.floor(w / capacity)) for w in widths)
-    return _unimodular_matrices(len(box), bound, spreads)
+    spreads = _fitting_spreads(bound, box, capacity)
+    return () if spreads is None else _unimodular_matrices(len(box), bound, spreads)
 
 
 def _contained_placements(
-    polytope: Polytope, box, capacity: Fraction, matrices, q: int, scale: int
+    polytope: Polytope, box, capacity: Fraction, matrices, q: int, scale: int, groups=None
 ) -> list:
-    """All grid placements of a capacity-`capacity` simplex inside the
+    """The grid placements of a capacity-`capacity` simplex inside the
     polytope, as (taus, matrices) families, one per slack vector that has
-    any: taus lists the contained translations * scale, in lexicographic
-    order, of each matrix of the family.  Families and their matrices keep
-    the order of `matrices`.  `scale` is a common multiple of q and of the
-    denominators of the offsets, the box and the capacity.
+    any.  The contained translations * scale that share all but the last
+    coordinate (a prefix) form one run on one grid line; taus lists each
+    run's first and last translation, one when they coincide, in
+    lexicographic order, and every matrix of the family has those runs.
+    Families and their matrices keep the order of `matrices`.  `scale` is
+    a common multiple of q and of the denominators of the offsets, the box
+    and the capacity.
+
+    Along any u, u . tau is affine on a run, so its lowest value lies at an
+    end, and the first end in list order at it is the first translation of
+    the whole run at it: the ends lose no placement that the sweep
+    (`_find_disjoint_pair`) returns.
 
     Works in integer arithmetic: containment of g = (M, tau) reduces to
     nu . tau <= beta - c h_nu(M) per halfspace, with the facet height
     h_nu(M) = max(0, max_j nu . M e_j).  That is linear in tau, so the
-    translations depend on M only through these slacks.  The heights are
-    computed for every matrix at once, by `_dots` on the coordinates of
-    the matrices' columns.  When a
-    slack vector first appears, its translations are scanned only inside
-    the window that keeps its first matrix in the bounding box: row i of M
-    spans tau_i + c [min(0, min row_i), max(0, max row_i)].  Containment
-    in the polytope implies containment in its box, and the matrices of a
-    family share their translations, so no placement is lost; a matrix
-    whose image does not fit the box gets an empty window and no scan.
-    Empty when c is not positive or exceeds the box's least width.
+    translations depend on M only through these slacks, and the matrices
+    are grouped by their heights (`_height_groups`, passed as `groups` by
+    a caller that keeps them across capacities).  When a slack vector first
+    appears, its translations are scanned only inside the window that
+    keeps its first matrix in the bounding box: row i of M spans tau_i + c
+    [min(0, min row_i), max(0, max row_i)].  Containment in the polytope
+    implies containment in its box, and the matrices of a family share
+    their translations, so no placement is lost; a matrix whose image does
+    not fit the box gets an empty window and no scan.  Every run's ends
+    come from the window's prefixes a halfspace at a time, by `_dots` on
+    the prefixes' coordinates.  Empty when c is not positive or exceeds the
+    box's least width.
     """
     step = scale // q
     c_scaled = int(capacity * scale)
@@ -323,20 +346,8 @@ def _contained_placements(
 
     normals = [nu for nu, _ in polytope.constraints]
     betas = [int(beta * scale) for _, beta in polytope.constraints]
-    # entries[i][j] holds entry (i, j) of every matrix, in order, so
-    # columns[j] holds the coordinates of every matrix's column j.  The
-    # rows are transposed one at a time, which keeps the peak low.
-    entries = [list(zip(*row)) for row in zip(*matrices)]
-    columns = list(zip(*entries))
-    heights = [map(max, repeat(0), *(_dots(nu, column) for column in columns)) for nu in normals]
-
-    # One group per height vector, which gives the slacks one to one.
-    groups: dict[tuple, list] = {}
-    for key, matrix in zip(zip(*heights), matrices):
-        groups.setdefault(key, []).append(matrix)
-
-    leads = [nu[:-1] for nu in normals]
-    lasts = [nu[-1] for nu in normals]
+    if groups is None:
+        groups = _height_groups(polytope, matrices)
     last_lo = los[-1]
     families = []
     for key, members in groups.items():
@@ -351,31 +362,56 @@ def _contained_placements(
         ]
         if any(k0 > k1 for k0, k1 in zip(firsts, ends)):
             continue
-        slacks = [beta - c_scaled * h for beta, h in zip(betas, key)]
-        axes = [
-            range(lo + k0 * step, lo + k1 * step + 1, step) for lo, k0, k1 in zip(los, firsts, ends)
-        ]
-        taus = []
-        # The last coordinate is solved: each constraint is affine in tau,
-        # so its feasible values form an integer interval.
-        for prefix in product(*axes[:-1]):
-            lo_t, hi_t = axes[-1].start, axes[-1][-1]
-            for lead, slack, c in zip(leads, slacks, lasts):
-                rem = slack - sum(map(mul, lead, prefix))
-                if c == 0:
-                    if rem < 0:
-                        break
-                elif c > 0:
-                    hi_t = min(hi_t, rem // c)
-                else:
-                    lo_t = max(lo_t, -((-rem) // c))
+        prefixes = list(product(*(
+            range(lo + k0 * step, lo + k1 * step + 1, step)
+            for lo, k0, k1 in zip(los[:-1], firsts, ends)
+        )))
+        table = list(zip(*prefixes))
+        # On the grid line of a prefix, tau_n = last_lo + k step, so for nu
+        # = (lead, c), nu . tau <= slack reads c k step <= offset - lead .
+        # prefix with offset = slack - c last_lo: an upper bound on k when
+        # c > 0, a lower one when c < 0, and with c = 0 a mask on the lines.
+        fits, lows, highs = repeat(True), repeat(firsts[-1]), repeat(ends[-1])
+        for (*lead, c), beta, h in zip(normals, betas, key):
+            offset = beta - c_scaled * h - c * last_lo
+            dots = _dots(lead, table) if any(lead) else repeat(0)
+            if c == 0:
+                fits = map(and_, fits, map(le, dots, repeat(offset)))
+                continue
+            e = map(floordiv, map(sub, repeat(offset), dots), repeat(abs(c) * step))
+            if c > 0:
+                highs = map(min, highs, e)
             else:
-                k0 = -((last_lo - lo_t) // step)
-                k1 = (hi_t - last_lo) // step
-                taus += [(*prefix, last_lo + k * step) for k in range(k0, k1 + 1)]
+                lows = map(max, lows, map(neg, e))
+        taus = []
+        for prefix, fit, k0, k1 in zip(prefixes, fits, lows, highs):
+            if fit and k0 <= k1:
+                taus.append((*prefix, last_lo + k0 * step))
+                if k0 < k1:
+                    taus.append((*prefix, last_lo + k1 * step))
         if taus:
             families.append((taus, members))
     return families
+
+
+def _height_groups(polytope: Polytope, matrices) -> dict[tuple, list]:
+    """The matrices, in order, grouped by their facet heights (h_nu(M) per
+    halfspace nu of the polytope), which give the slacks at every capacity
+    one to one; the heights are computed for every matrix at once, by
+    `_dots` on the coordinates of the matrices' columns."""
+    # entries[i][j] holds entry (i, j) of every matrix, in order, so
+    # columns[j] holds the coordinates of every matrix's column j.  The
+    # rows are transposed one at a time, which keeps the peak low.
+    entries = [list(zip(*row)) for row in zip(*matrices)]
+    columns = list(zip(*entries))
+    heights = [
+        map(max, repeat(0), *(_dots(nu, column) for column in columns))
+        for nu, _ in polytope.constraints
+    ]
+    groups: dict[tuple, list] = {}
+    for key, matrix in zip(zip(*heights), matrices):
+        groups.setdefault(key, []).append(matrix)
+    return groups
 
 
 def _dots(u, coordinates):
@@ -408,7 +444,7 @@ def _primitive(vector) -> tuple[int, ...] | None:
     return max(v, tuple(map(neg, v))) if g else None
 
 
-def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
+def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int, directions=None):
     """Two placements with disjoint interiors, one from each list, or None.
 
     `first` and `second` are (taus, matrices) families, as from
@@ -431,6 +467,10 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
     Deterministic rule: the first u of sorted U that passes, then at each
     extreme the lexicographically smallest matrix, with its first
     translation in list order.
+
+    U depends only on the set of matrices (`_directions`); `directions`,
+    when given, is a dict from matrix sets to their U that the caller
+    keeps across probes.
     """
     if not first or not second:
         return None
@@ -446,22 +486,16 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
         for taus, matrices in (first if second is first else first + second)
     ]
     families_a, families_b = families[: len(first)], families[-len(second) :]
-    edges = set()
-    for _, _, matrices, _ in families:
-        for matrix in matrices:
-            cols = list(zip(*matrix))
-            cols += [tuple(map(sub, p, r)) for p, r in combinations(cols, 2)]
-            edges.update(map(_primitive, cols))
     # The distinct columns' coordinates, in index order.
     table = list(zip(*columns))
-    directions = set()
-    for rows in combinations(sorted(edges), len(table) - 1):
-        u = _primitive(cofactor_vector(rows))
-        if u is not None:
-            directions.update((u, tuple(map(neg, u))))
+    matrices = frozenset(matrix for _, _, members, _ in families for matrix in members)
+    if directions is None:
+        directions = {}
+    if matrices not in directions:
+        directions[matrices] = _directions(matrices, len(table))
 
     c_a, c_b = int(cap_a * scale), int(cap_b * scale)
-    for u in sorted(directions):
+    for u in directions[matrices]:
         dots = list(_dots(u, table))
         values = [list(_dots(u, coordinates)) for _, coordinates, _, _ in families]
         # The highest min along u is minus the lowest max along -u; it
@@ -472,6 +506,23 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int):
         if a is not None and a[0] <= -b[0]:
             return _placement(cap_a, a, scale), _placement(cap_b, b, scale)
     return None
+
+
+def _directions(matrices, n: int) -> list:
+    """U, sorted: the primitive cofactor vectors, with both signs, of every
+    n - 1 edge directions of the matrices' simplices (their columns and the
+    columns' differences)."""
+    edges = set()
+    for matrix in matrices:
+        cols = list(zip(*matrix))
+        cols += [tuple(map(sub, p, r)) for p, r in combinations(cols, 2)]
+        edges.update(map(_primitive, cols))
+    directions = set()
+    for rows in combinations(sorted(edges), n - 1):
+        u = _primitive(cofactor_vector(rows))
+        if u is not None:
+            directions.update((u, tuple(map(neg, u))))
+    return sorted(directions)
 
 
 def _lowest_max(families, values, dots, capacity: int, bound=math.inf):
@@ -496,6 +547,20 @@ def _placement(capacity, found, scale) -> SimplexImage:
     _, matrix, tau = found
     translation = tuple(Fraction(t, scale) for t in tau)
     return SimplexImage(capacity, SpecialAffineTransform(matrix, translation))
+
+
+def search_ceiling(domain: ToricDomain, box=None) -> Fraction:
+    """The total at which `search_two_balls` starts, a proven upper bound:
+    the closed-form c_2B for ellipsoids and polydisks, and for other
+    polytopes twice the least width w of the bounding box (`box`, computed
+    when not given), or w in dimension 1."""
+    try:
+        return c2b_closed_form(domain).value
+    except ValueError:  # no closed form for a general polytope
+        if box is None:
+            box = moment_polytope(domain).bounding_box()
+        width = min(hi - lo for lo, hi in box)
+        return width if len(box) == 1 else 2 * width
 
 
 def search_two_balls(
@@ -531,11 +596,21 @@ def search_two_balls(
     # denominators, so that both placement lists share one integer grid.
     denominators = [beta.denominator for _, beta in polytope.constraints]
     denominators += [x.denominator for side in box for x in side]
-    try:
-        ceiling = c2b_closed_form(domain).value
-    except ValueError:  # no closed form for a general polytope
-        width = min(hi - lo for lo, hi in box)
-        ceiling = width if polytope.dimension == 1 else 2 * width
+    ceiling = search_ceiling(domain, box)
+
+    # Kept across the probes: the height groups of each fitting list, which
+    # do not depend on the capacity, by the spreads that select the list;
+    # and the sweep's directions, by matrix set.
+    heights: dict[tuple, dict] = {}
+    directions: dict[frozenset, list] = {}
+
+    def placements(capacity: Fraction, scale: int) -> list:
+        spreads = _fitting_spreads(bound, box, capacity)
+        fitting = _fitting_matrices(bound, box, capacity)
+        if fitting and spreads not in heights:
+            heights[spreads] = _height_groups(polytope, fitting)
+        groups = heights.get(spreads)
+        return _contained_placements(polytope, box, capacity, fitting, q, scale, groups)
 
     def probe(total: Fraction) -> PackingCertificate | None:
         splits = [(total / 2, total / 2)]
@@ -543,12 +618,10 @@ def search_two_balls(
             splits += [(total / 3, 2 * total / 3), (total / 4, 3 * total / 4)]
         for cap_a, cap_b in splits:
             scale = math.lcm(q, *denominators, cap_a.denominator, cap_b.denominator)
-            fitting = _fitting_matrices(bound, box, cap_a)
-            first = second = _contained_placements(polytope, box, cap_a, fitting, q, scale)
+            first = second = placements(cap_a, scale)
             if first and cap_b != cap_a:
-                fitting = _fitting_matrices(bound, box, cap_b)
-                second = _contained_placements(polytope, box, cap_b, fitting, q, scale)
-            pair = _find_disjoint_pair(cap_a, first, cap_b, second, scale)
+                second = placements(cap_b, scale)
+            pair = _find_disjoint_pair(cap_a, first, cap_b, second, scale, directions)
             if pair is not None:
                 return PackingCertificate(pair, domain, total)
         return None

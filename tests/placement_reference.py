@@ -1,12 +1,15 @@
 """Test-only reference for the placement enumeration: the per-matrix scan.
 
 `packing._contained_placements` computes every matrix's facet heights a
-column at a time and scans each slack vector's translations only inside
-the window that keeps its simplex in the bounding box.  This is the scan
-it replaced: per matrix, one dot product per facet and column; per new
-slack vector, a scan of every leading-axis grid point of the box.  The
-tests require both to return the same families, in the same order, with
-the same translation order.
+column at a time, scans each slack vector's translations only inside the
+window that keeps its simplex in the bounding box, and lists only the two
+ends of each run of translations that share a prefix (one grid line),
+computed for all prefixes a halfspace at a time.  This is the scan it
+replaced: per matrix, one dot product per facet and column; per new slack
+vector, a scan of every leading-axis grid point of the box, listing every
+contained translation.  The tests fill each pair of run ends in at the
+grid step and then require both to return the same families, in the same
+order, with the same translation order.
 """
 
 from __future__ import annotations

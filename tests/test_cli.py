@@ -777,6 +777,28 @@ def test_infinite_search_tolerance_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err == "symcap: bisection tolerance must be finite\n"
 
 
+def test_search_without_a_placement_names_ceiling_and_tolerance(capsys):
+    # E(1/1000, 1) does not pack at its ceiling 1/500, and a tolerance of
+    # 1/100 ends the bisection before it probes a lower total.
+    argv = ["pack", "--domain", "ellipsoid:1/1000,1", "--search"]
+    assert run(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("symcap: search found no verified placement: ")
+    assert "ceiling 1/500 does not pack" in err and "tolerance of 1/100" in err
+    assert run([*argv, "--tolerance", "1/10000"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("total 31/16000 ")
+
+
+def test_search_without_a_placement_below_the_ceiling_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "search_two_balls", lambda domain, config: None)
+    argv = ["pack", "--domain", "ellipsoid:1,2", "--search", "--tolerance", "1/64"]
+    assert run(argv) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "symcap: search found no verified placement: no total packs below the "
+        "ceiling 2, bisected to a tolerance of 1/64\n"
+    )
+
+
 def test_runs_in_one_process_share_one_parser(capsys, tmp_path):
     certificate = packing.canonical_certificate(ellipsoid(1, 2), F(1, 100))
     data = serialize.certificate_to_json(certificate)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
@@ -416,6 +417,24 @@ def _flat(families):
     return [(matrix, tau) for taus, matrices in families for matrix in matrices for tau in taus]
 
 
+def _filled(families, step):
+    """The families with each pair of run ends that share a prefix filled
+    in at `step`, after checking that each family's translations are
+    distinct, in lexicographic order, and at most two per prefix."""
+    filled = []
+    for taus, matrices in families:
+        assert taus == sorted(set(taus))
+        assert max(Counter(tau[:-1] for tau in taus).values()) <= 2
+        full = []
+        for tau in taus:
+            if full and full[-1][:-1] == tau[:-1]:
+                full += [(*tau[:-1], t) for t in range(full[-1][-1] + step, tau[-1] + 1, step)]
+            else:
+                full.append(tau)
+        filled.append((full, matrices))
+    return filled
+
+
 def _grid(box, q):
     """Every translation lo + k/q inside the box, per axis."""
     axes = [
@@ -440,8 +459,8 @@ _QUADRILATERAL = Polytope.from_halfspaces(
     ids=["E(1,2)", "quadrilateral", "P(1,1,2)", "E(1,2,3)"],
 )
 def test_contained_placements_agree_with_contains(polytope, capacities, enumeration, q):
-    # Every returned placement is contained; every other grid placement of
-    # a matrix that has one is not.
+    # Every placement of the filled runs is contained; every other grid
+    # placement of a matrix that has one is not.
     box = polytope.bounding_box()
     matrices = _unimodular_matrices(*enumeration)
     if polytope.dimension == 3:
@@ -450,7 +469,7 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
         scale = _scale(polytope, box, q, capacity)
         families = _contained_placements(polytope, box, capacity, matrices, q, scale)
         found = {}
-        for matrix, tau in _flat(families):
+        for matrix, tau in _flat(_filled(families, scale // q)):
             found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
         assert found
         for matrix, taus in found.items():
@@ -466,6 +485,14 @@ _PENTAGON = Polytope.from_halfspaces(
 )
 
 
+# A prism with a facet x + y <= 3/2 whose last coefficient is 0 and that
+# the bounding box does not imply, so it drops whole grid lines.
+_PRISM = Polytope.from_halfspaces(
+    [((-1, 0, 0), F(0)), ((0, -1, 0), F(0)), ((0, 0, -1), F(0)), ((1, 1, 0), F(3, 2)),
+     ((0, 0, 1), F(1)), ((1, 0, 1), F(2))]
+)
+
+
 @pytest.mark.parametrize(
     "polytope,bound",
     [
@@ -475,13 +502,15 @@ _PENTAGON = Polytope.from_halfspaces(
         (moment_polytope(polydisk(1, 1, 2)), 1),
         (moment_polytope(ellipsoid(1, 2, 3)), 1),
         (moment_polytope(ellipsoid(1, F(5, 4), F(7, 4))), 1),
+        (_PRISM, 1),
     ],
-    ids=["E(1,2)", "quadrilateral", "pentagon", "P(1,1,2)", "E(1,2,3)", "E(1,5/4,7/4)"],
+    ids=["E(1,2)", "quadrilateral", "pentagon", "P(1,1,2)", "E(1,2,3)", "E(1,5/4,7/4)", "prism"],
 )
 def test_contained_placements_match_the_per_matrix_scan(polytope, bound):
-    # The same families, matrices and translations, in the same order, as
-    # the scan of every leading grid point per slack vector; the
-    # unfiltered list holds matrices that do not fit the box.
+    # Once each run's ends are filled in, the same families, matrices and
+    # translations, in the same order, as the scan of every leading grid
+    # point per slack vector; the unfiltered list holds matrices that do
+    # not fit the box.
     box = polytope.bounding_box()
     for capacity in [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4)]:
         lists = [_unimodular_matrices(polytope.dimension, bound)]
@@ -491,7 +520,8 @@ def test_contained_placements_match_the_per_matrix_scan(polytope, bound):
             expected = placement_reference.contained_placements(
                 polytope, box, capacity, matrices, q, scale
             )
-            assert _contained_placements(polytope, box, capacity, matrices, q, scale) == expected
+            found = _contained_placements(polytope, box, capacity, matrices, q, scale)
+            assert _filled(found, scale // q) == expected
 
 
 @pytest.mark.parametrize(
@@ -751,6 +781,57 @@ def test_sweep_matches_the_reference_sweep_on_search_lists(polytope, q):
         first, second = lists if cap_a != cap_b else (lists[0], lists[0])
         expected = sweep_reference.find_disjoint_pair(cap_a, first, cap_b, second, scale)
         assert _find_disjoint_pair(cap_a, first, cap_b, second, scale) == expected
+
+
+@pytest.mark.parametrize(
+    "polytope,q",
+    [
+        (moment_polytope(ellipsoid(1, 2)), 4),
+        (_QUADRILATERAL, 6),
+        (_PENTAGON, 4),
+        (moment_polytope(ellipsoid(1, 2, 3)), 2),
+        (moment_polytope(ellipsoid(1, F(5, 4), F(7, 4))), 2),
+    ],
+    ids=["E(1,2)", "quadrilateral", "pentagon", "E(1,2,3)", "E(1,5/4,7/4)"],
+)
+def test_sweep_on_run_ends_matches_the_reference_sweep_on_full_lists(polytope, q):
+    # Keeping only the ends of each grid line loses no pair the sweep
+    # returns: the same pair, or None, as the reference sweep on every
+    # contained translation.
+    box = polytope.bounding_box()
+    for cap_a, cap_b in [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1), F(1))]:
+        scale = _scale(polytope, box, q, cap_a, cap_b)
+        lists, full = [], []
+        for c in (cap_a, cap_b):
+            matrices = packing._fitting_matrices(2, box, c)
+            lists.append(_contained_placements(polytope, box, c, matrices, q, scale))
+            full.append(
+                placement_reference.contained_placements(polytope, box, c, matrices, q, scale)
+            )
+        if cap_a == cap_b:
+            lists[1], full[1] = lists[0], full[0]
+        expected = sweep_reference.find_disjoint_pair(cap_a, full[0], cap_b, full[1], scale)
+        assert _find_disjoint_pair(cap_a, lists[0], cap_b, lists[1], scale) == expected
+
+
+def test_a_fine_grid_lists_two_translations_per_grid_line():
+    # At q = 660 the quadrilateral's grid lines hold hundreds of contained
+    # translations each; a family lists at most the two ends of each.
+    polytope = Polytope.from_halfspaces(_ORTHANT + [((1, 2), 3), ((2, 1), 3)])
+    box = polytope.bounding_box()
+    q = 660
+    lengths = []
+    for capacity in [F(3, 2), F(1023, 1024), F(1, 2)]:
+        scale = _scale(polytope, box, q, capacity)
+        matrices = packing._fitting_matrices(2, box, capacity)
+        families = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        assert families
+        for taus, _ in families:
+            assert max(Counter(tau[:-1] for tau in taus).values()) <= 2
+            lengths += [
+                (b[-1] - a[-1]) // (scale // q) for a, b in zip(taus, taus[1:]) if a[:-1] == b[:-1]
+            ]
+    assert max(lengths) == q
 
 
 @settings(max_examples=300, deadline=None)
