@@ -550,10 +550,14 @@ def _placement(capacity, found, scale) -> SimplexImage:
 
 
 def search_ceiling(domain: ToricDomain, box=None) -> Fraction:
-    """The total at which `search_two_balls` starts, a proven upper bound:
-    the closed-form c_2B for ellipsoids and polydisks, and for other
-    polytopes twice the least width w of the bounding box (`box`, computed
-    when not given), or w in dimension 1."""
+    """The total at which `search_two_balls` starts, a proven upper bound.
+
+    No SL_n(Z) matrix has a zero row, so a simplex image of capacity c
+    spans at least c along every axis: no total above twice the least
+    width w of the bounding box (`box`, computed when not given) packs,
+    and in dimension 1 none above w.  The ceiling is the closed-form c_2B
+    for ellipsoids and polydisks and that bound for other polytopes.
+    """
     try:
         return c2b_closed_form(domain).value
     except ValueError:  # no closed form for a general polytope
@@ -569,13 +573,9 @@ def search_two_balls(
     """Bisection on the packed total below a proven ceiling.
 
     Returns the best certificate found, whose `verified` it has read, or
-    None when no probed total packs.  No SL_n(Z) matrix has a zero row, so
-    a simplex image of capacity c spans at least c along every axis: no
-    total above twice the least width w of the bounding box packs, and in
-    dimension 1 none above w.  The ceiling
-    is the closed-form c_2B for ellipsoids and polydisks and that bound
-    for other polytopes.  A probe that packs at the ceiling ends the
-    search; otherwise it bisects on [0, ceiling].  A probe sweeps every
+    None when no probed total packs.  The ceiling is `search_ceiling`'s.
+    A probe that packs at the ceiling ends the search; otherwise it
+    bisects on [0, ceiling].  A probe sweeps every
     contained grid placement (`_find_disjoint_pair`), so a failed probe is
     a proof for its grid.
     """
