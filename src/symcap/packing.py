@@ -10,14 +10,15 @@ bounded slice of the special affine group, never an exact optimizer.
 Each probe of the search decides, in integer arithmetic, whether any two
 contained grid placements have disjoint interiors, with one sweep over
 the directions that can separate them (`_find_disjoint_pair`); a failed
-probe is a complete scan of its grid.  A probe lists only the two ends of
-each grid line of contained translations (`_contained_placements`), where
-every direction finds its lowest value on the line, and a search keeps
-what does not depend on the capacity across its probes: the facet-height
-groups of each fitting matrix list and the sweep's directions of each
-matrix set.  The verifier keeps its own,
-independent implementation, the box and facet checks plus the rational
-LP of `interiors_disjoint`, and every returned certificate has passed it.
+probe is a complete scan of its grid.  A probe lists only the two ends
+of each grid line of contained translations (`_contained_placements`),
+where every direction finds its lowest value on the line.  A search
+keeps what does not depend on the capacity across its probes: one memo
+entry per fitting matrix list, its facet-height groups, so each list is
+enumerated and grouped once, and the sweep's directions of each matrix
+set.  The verifier keeps its own, independent implementation, the box
+and facet checks plus the rational LP of `interiors_disjoint`, and every
+returned certificate has passed it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .rationals import is_infinite, rat
 # Work budget of the SL_n(Z) enumeration, in the (2B+1)^(n^2-1) tuples of
 # its walk without spread limits, so that an admitted enumeration takes well
 # under a second; a probe walks only the rows that fit the box at its
-# capacity (`_fitting_matrices`), never more.  On a 2-vCPU Xeon with Python
+# capacity (`_fitting_spreads`), never more.  On a 2-vCPU Xeon with Python
 # 3.11, n = 3, B = 2 walks 390,625 tuples in 0.06 s (22,568 matrices, one
 # per simplex), and at capacity 1 on E(1,2,3)'s box it lists 3,272 of them
 # in 0.005 s; n = 3, B = 3 would walk 5.8M tuples in about 1 s (213,608
@@ -284,37 +285,31 @@ def _unimodular_matrices(n: int, bound: int, spreads=None) -> tuple:
 
 
 def _fitting_spreads(bound: int, box, capacity: Fraction) -> tuple | None:
-    """The row spreads that select `_fitting_matrices`, or None when c is
-    not positive or exceeds the box's least width."""
+    """The row spreads that select, from `_unimodular_matrices`, the
+    matrices whose capacity-`capacity` simplex image fits the box: row i
+    spans c times its spread along axis i, so its spread is at most
+    floor(w_i / c) for the box width w_i.  Limits are clamped to 2 * bound,
+    the widest spread of a row, so that small capacities share one list,
+    and the standard simplex fits them all.  None when c is not positive or
+    exceeds the box's least width."""
     widths = [hi - lo for lo, hi in box]
     if not 0 < capacity <= min(widths):
         return None
     return tuple(min(2 * bound, math.floor(w / capacity)) for w in widths)
 
 
-def _fitting_matrices(bound: int, box, capacity: Fraction) -> tuple:
-    """The matrices of `_unimodular_matrices` whose capacity-`capacity`
-    simplex image fits the box: row i spans c times its spread along axis
-    i, so its spread is at most floor(w_i / c) for the box width w_i.
-    Limits are clamped to 2 * bound, the widest spread of a row, so that
-    small capacities share one list.  Empty, with nothing enumerated, when
-    c is not positive or exceeds the box's least width."""
-    spreads = _fitting_spreads(bound, box, capacity)
-    return () if spreads is None else _unimodular_matrices(len(box), bound, spreads)
-
-
 def _contained_placements(
-    polytope: Polytope, box, capacity: Fraction, matrices, q: int, scale: int, groups=None
+    polytope: Polytope, box, capacity: Fraction, groups, q: int, scale: int
 ) -> list:
     """The grid placements of a capacity-`capacity` simplex inside the
     polytope, as (taus, matrices) families, one per slack vector that has
-    any.  The contained translations * scale that share all but the last
-    coordinate (a prefix) form one run on one grid line; taus lists each
-    run's first and last translation, one when they coincide, in
-    lexicographic order, and every matrix of the family has those runs.
-    Families and their matrices keep the order of `matrices`.  `scale` is
-    a common multiple of q and of the denominators of the offsets, the box
-    and the capacity.
+    any, from the matrices' height groups (`_height_groups`).  The
+    contained translations * scale that share all but the last coordinate
+    (a prefix) form one run on one grid line; taus lists each run's first
+    and last translation, one when they coincide, in lexicographic order,
+    and every matrix of the family has those runs.  Families and their
+    matrices keep the order of `groups`.  `scale` is a common multiple of q
+    and of the denominators of the offsets, the box and the capacity.
 
     Along any u, u . tau is affine on a run, so its lowest value lies at an
     end, and the first end in list order at it is the first translation of
@@ -324,30 +319,27 @@ def _contained_placements(
     Works in integer arithmetic: containment of g = (M, tau) reduces to
     nu . tau <= beta - c h_nu(M) per halfspace, with the facet height
     h_nu(M) = max(0, max_j nu . M e_j).  That is linear in tau, so the
-    translations depend on M only through these slacks, and the matrices
-    are grouped by their heights (`_height_groups`, passed as `groups` by
-    a caller that keeps them across capacities).  When a slack vector first
-    appears, its translations are scanned only inside the window that
-    keeps its first matrix in the bounding box: row i of M spans tau_i + c
-    [min(0, min row_i), max(0, max row_i)].  Containment in the polytope
-    implies containment in its box, and the matrices of a family share
-    their translations, so no placement is lost; a matrix whose image does
-    not fit the box gets an empty window and no scan.  Every run's ends
+    translations depend on M only through these slacks, which the heights
+    give one to one at every capacity.  A group's translations are scanned
+    only inside the window that keeps its first matrix in the bounding box:
+    row i of M spans tau_i + c [min(0, min row_i), max(0, max row_i)].
+    Containment in the polytope implies containment in its box, and the
+    matrices of a family share their translations, so no placement is
+    lost; a matrix whose image does not fit the box gets an empty window
+    and no scan.  Every run's ends
     come from the window's prefixes a halfspace at a time, by `_dots` on
     the prefixes' coordinates.  Empty when c is not positive or exceeds the
     box's least width.
     """
     step = scale // q
     c_scaled = int(capacity * scale)
-    if not matrices or not 0 < c_scaled <= min(int((hi - lo) * scale) for lo, hi in box):
+    if not 0 < c_scaled <= min(int((hi - lo) * scale) for lo, hi in box):
         return []
     los = [int(lo * scale) for lo, _ in box]
     his = [int(hi * scale) for _, hi in box]
 
     normals = [nu for nu, _ in polytope.constraints]
     betas = [int(beta * scale) for _, beta in polytope.constraints]
-    if groups is None:
-        groups = _height_groups(polytope, matrices)
     last_lo = los[-1]
     families = []
     for key, members in groups.items():
@@ -444,7 +436,7 @@ def _primitive(vector) -> tuple[int, ...] | None:
     return max(v, tuple(map(neg, v))) if g else None
 
 
-def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int, directions=None):
+def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int, directions: dict):
     """Two placements with disjoint interiors, one from each list, or None.
 
     `first` and `second` are (taus, matrices) families, as from
@@ -468,9 +460,9 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int, directions=None
     extreme the lexicographically smallest matrix, with its first
     translation in list order.
 
-    U depends only on the set of matrices (`_directions`); `directions`,
-    when given, is a dict from matrix sets to their U that the caller
-    keeps across probes.
+    U depends only on the set of matrices (`_directions`); `directions` is
+    a dict from matrix sets to their U that the caller keeps across
+    probes.
     """
     if not first or not second:
         return None
@@ -489,8 +481,6 @@ def _find_disjoint_pair(cap_a, first, cap_b, second, scale: int, directions=None
     # The distinct columns' coordinates, in index order.
     table = list(zip(*columns))
     matrices = frozenset(matrix for _, _, members, _ in families for matrix in members)
-    if directions is None:
-        directions = {}
     if matrices not in directions:
         directions[matrices] = _directions(matrices, len(table))
 
@@ -599,18 +589,20 @@ def search_two_balls(
     ceiling = search_ceiling(domain, box)
 
     # Kept across the probes: the height groups of each fitting list, which
-    # do not depend on the capacity, by the spreads that select the list;
-    # and the sweep's directions, by matrix set.
+    # do not depend on the capacity, by the spreads that select the list
+    # (never empty: the standard simplex fits every spread); and the sweep's
+    # directions, by matrix set.
     heights: dict[tuple, dict] = {}
     directions: dict[frozenset, list] = {}
 
     def placements(capacity: Fraction, scale: int) -> list:
         spreads = _fitting_spreads(bound, box, capacity)
-        fitting = _fitting_matrices(bound, box, capacity)
-        if fitting and spreads not in heights:
+        if spreads is None:
+            return []
+        if spreads not in heights:
+            fitting = _unimodular_matrices(polytope.dimension, bound, spreads)
             heights[spreads] = _height_groups(polytope, fitting)
-        groups = heights.get(spreads)
-        return _contained_placements(polytope, box, capacity, fitting, q, scale, groups)
+        return _contained_placements(polytope, box, capacity, heights[spreads], q, scale)
 
     def probe(total: Fraction) -> PackingCertificate | None:
         splits = [(total / 2, total / 2)]

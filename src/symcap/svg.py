@@ -12,7 +12,7 @@ from math import atan2
 
 from .exactgeom import Polytope, Vector, moment_polytope, simplex_vertices
 from .packing import PackingCertificate
-from .profiles import RadialProfile, TwoBallSystem, poly_derivative, t_s
+from .profiles import RadialProfile, TwoBallSystem, t_s
 from .rationals import fmt, rat
 from .spectra import find_orbits
 
@@ -47,10 +47,13 @@ class _Frame:
         self.sx = (_WIDTH - 2 * _MARGIN) / max(self.x_hi - self.x_lo, 1e-9)
         self.sy = (_HEIGHT - 2 * _MARGIN) / max(self.y_hi - self.y_lo, 1e-9)
 
-    def pt(self, x, y) -> str:
+    def xy(self, x, y) -> tuple[str, str]:
         px = _MARGIN + (float(x) - self.x_lo) * self.sx
         py = _HEIGHT - _MARGIN - (float(y) - self.y_lo) * self.sy
-        return f"{_num(px)},{_num(py)}"
+        return _num(px), _num(py)
+
+    def pt(self, x, y) -> str:
+        return ",".join(self.xy(x, y))
 
 
 def _document(body: list[str]) -> str:
@@ -142,14 +145,11 @@ def render_profile(profile: RadialProfile | TwoBallSystem) -> str:
                 r = orbit.interval[0]
             else:
                 r = Fraction(0)
-            slope = poly_derivative(p.piece_at(min(r, r_max)).coeffs, min(r, r_max))
+            slope = p.derivative(min(r, r_max))
             # Tangent line from r = 0 (intercept = action) out to r_max.
-            p0 = frame.pt(Fraction(0), orbit.action)
-            p1 = frame.pt(r_max, orbit.action + slope * r_max)
-            body.append(
-                f'<line x1="{p0.split(",")[0]}" y1="{p0.split(",")[1]}" '
-                f'x2="{p1.split(",")[0]}" y2="{p1.split(",")[1]}" {_TANGENT_STYLE}/>'
-            )
+            x1, y1 = frame.xy(Fraction(0), orbit.action)
+            x2, y2 = frame.xy(r_max, orbit.action + slope * r_max)
+            body.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_TANGENT_STYLE}/>')
             labels.append(f"{orbit.locus}: action {fmt(orbit.action)} ({_approx(orbit.action)})")
     name = parts[0].construction if len(parts) == 1 else "two_ball"
     body.append(

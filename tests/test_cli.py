@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcap import cli, packing, profiles, serialize, spectra
+from symcap import cli, exactgeom, packing, profiles, serialize, spectra
 from symcap.exactgeom import ellipsoid, moment_polytope, polydisk
 from symcap.profiles import CN, CPN, Space
 from symcap.rationals import fmt, rat
@@ -389,6 +389,29 @@ def test_check_malformed_certificate_exits_2(mutate, capsys, tmp_path):
     path.write_text(json.dumps(data))
     assert run(["check", str(path)]) == EXIT_PARSE
     assert capsys.readouterr().out == ""
+
+
+def test_check_polytope_with_too_many_halfspaces_exits_2(capsys, tmp_path, monkeypatch):
+    # The certificate still holds in x, y >= 0, (k + 1) x + (2000 - k) y <=
+    # 6003 for k < 2000, but vertex enumeration of its 2,002 halfspaces
+    # would make 4.0e9 checks: it is refused before it starts.
+    path = tmp_path / "cert.json"
+    run(["pack", "--domain", "polydisk:1,1", "--epsilon", "1", "--out", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    halfspaces = [{"normal": [-1, 0], "offset": "0"}, {"normal": [0, -1], "offset": "0"}]
+    halfspaces += [{"normal": [k + 1, 2000 - k], "offset": "6003"} for k in range(2000)]
+    data["domain"] = {"kind": "polytope", "halfspaces": halfspaces}
+    path.write_text(json.dumps(data))
+
+    def enumeration_started(*args):
+        raise AssertionError("the vertex enumeration started")
+
+    monkeypatch.setattr(exactgeom, "cofactor_vector", enumeration_started)
+    assert run(["check", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 
 def test_check_deeply_nested_json_exits_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcap import exactgeom
 from symcap.exactgeom import (
     DimensionMismatch,
     Polytope,
@@ -412,6 +413,37 @@ def test_vertices_are_distinct():
     assert sorted(polytope.vertices()) == [(0, 0), (0, 2), (2, 0)]
     box = moment_polytope(polydisk(1, 2, 3))
     assert sorted(box.vertices()) == list(product((0, 1), (0, 2), (0, 3)))
+
+
+def _fan(m):
+    """x, y >= 0 and (k + 1) x + (m - k) y <= 3 (m + 1) for k < m: a
+    quadrilateral whose m slanted halfspaces all hold (3, 3) on their
+    boundary."""
+    halfspaces = [((-1, 0), F(0)), ((0, -1), F(0))]
+    halfspaces += [((k + 1, m - k), F(3 * (m + 1))) for k in range(m)]
+    return Polytope.from_halfspaces(halfspaces)
+
+
+def test_vertices_refuse_too_many_halfspaces_up_front(monkeypatch):
+    # The square's 4 halfspaces in dimension 2 make C(5, 2) * 4 = 40
+    # checks: the budget admits them at 40 and refuses them at 39.
+    square = moment_polytope(polydisk(1, 1))
+    assert sorted(_fan(3).vertices()) == [(0, 0), (0, 4), (3, 3), (4, 0)]
+    monkeypatch.setattr(exactgeom, "VERTEX_BUDGET", 40)
+    assert sorted(square.vertices()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def enumeration_started(*args):
+        raise AssertionError("the vertex enumeration started")
+
+    monkeypatch.setattr(exactgeom, "VERTEX_BUDGET", 39)
+    monkeypatch.setattr(exactgeom, "cofactor_vector", enumeration_started)
+    with pytest.raises(ValueError, match="budget"):
+        square.vertices()
+    # At the real budget, 2,002 halfspaces in the plane make 4.0e9 checks.
+    monkeypatch.undo()
+    monkeypatch.setattr(exactgeom, "cofactor_vector", enumeration_started)
+    with pytest.raises(ValueError, match="budget"):
+        _fan(2000).bounding_box()
 
 
 def _lp_bounding_box(polytope):

@@ -32,6 +32,8 @@ from symcap.packing import (
     SearchConfig,
     _contained_placements,
     _find_disjoint_pair,
+    _fitting_spreads,
+    _height_groups,
     _unimodular_matrices,
     canonical_certificate,
     search_two_balls,
@@ -385,17 +387,54 @@ def test_unimodular_matrices_within_spreads_filter_the_full_list(n, bound, sprea
     assert _unimodular_matrices(n, bound, spreads) == expected
 
 
-def test_fitting_matrices_list_only_what_fits_the_box(monkeypatch):
+def test_fitting_spreads_select_only_what_fits_the_box(monkeypatch):
     # E(1,2,3)'s box has widths 1, 2, 3: at capacity 1 the rows may span
     # 1, 2 and 3, which leaves 3,272 of the 22,568 matrices at B = 2.
     box = moment_polytope(ellipsoid(1, 2, 3)).bounding_box()
-    assert len(packing._fitting_matrices(2, box, F(1))) == 3272
+    assert _fitting_spreads(2, box, F(1)) == (1, 2, 3)
+    assert len(_fitting(2, box, F(1))) == 3272
     # At capacity 1/4 every limit reaches 2B = 4: the unlimited list.
-    assert packing._fitting_matrices(2, box, F(1, 4)) == _unimodular_matrices(3, 2)
+    assert _fitting_spreads(2, box, F(1, 4)) == (4, 4, 4)
+    assert _fitting(2, box, F(1, 4)) == _unimodular_matrices(3, 2)
     calls = _count_calls(monkeypatch, "_unimodular_matrices")
-    assert packing._fitting_matrices(2, box, F(0)) == ()
-    assert packing._fitting_matrices(2, box, F(21, 20)) == ()
+    assert _fitting_spreads(2, box, F(0)) is None
+    assert _fitting_spreads(2, box, F(21, 20)) is None
     assert calls == []
+
+
+def _returns(monkeypatch, name):
+    """The results of every call of packing.`name`, in order."""
+    results = []
+    original = getattr(packing, name)
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(packing, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        polytope_domain(Polytope.from_halfspaces(_ORTHANT + [((1, 2), 3), ((2, 1), 3)])),
+        ellipsoid(1, F(5, 4), F(7, 4)),
+    ],
+    ids=["quadrilateral", "E(1,5/4,7/4)"],
+)
+def test_search_enumerates_and_groups_each_fitting_list_once(domain, monkeypatch):
+    # Both searches bisect, and their probes ask for more lists than there
+    # are distinct ones; each distinct list is enumerated and grouped once.
+    # (E(1,2,3) packs at its ceiling, so its one probe would show nothing.)
+    spreads = _returns(monkeypatch, "_fitting_spreads")
+    enumerations = _count_calls(monkeypatch, "_unimodular_matrices")
+    groupings = _count_calls(monkeypatch, "_height_groups")
+    config = SearchConfig(translation_grid=2, equal_balls=False)
+    assert search_two_balls(domain, config) is not None
+    distinct = set(spreads) - {None}
+    assert len(spreads) > len(distinct) > 1
+    assert len(enumerations) == len(groupings) == len(distinct)
 
 
 @pytest.mark.parametrize("n,bound", [(3, 3), (4, 1), (2, 50)])
@@ -410,6 +449,11 @@ def _scale(polytope, box, q, *capacities):
     offsets = [beta for _, beta in polytope.constraints]
     values = [*offsets, *(x for side in box for x in side), *capacities]
     return math.lcm(q, *(x.denominator for x in values))
+
+
+def _fitting(bound, box, capacity):
+    """The matrices that a search probe at `capacity` lists."""
+    return _unimodular_matrices(len(box), bound, _fitting_spreads(bound, box, capacity))
 
 
 def _flat(families):
@@ -465,9 +509,10 @@ def test_contained_placements_agree_with_contains(polytope, capacities, enumerat
     matrices = _unimodular_matrices(*enumeration)
     if polytope.dimension == 3:
         matrices = matrices[::12]  # a spread-out sample keeps the test fast
+    groups = _height_groups(polytope, matrices)
     for capacity in capacities:
         scale = _scale(polytope, box, q, capacity)
-        families = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        families = _contained_placements(polytope, box, capacity, groups, q, scale)
         found = {}
         for matrix, tau in _flat(_filled(families, scale // q)):
             found.setdefault(matrix, set()).add(tuple(F(t, scale) for t in tau))
@@ -514,13 +559,14 @@ def test_contained_placements_match_the_per_matrix_scan(polytope, bound):
     box = polytope.bounding_box()
     for capacity in [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4)]:
         lists = [_unimodular_matrices(polytope.dimension, bound)]
-        lists.append(packing._fitting_matrices(bound, box, capacity))
+        lists.append(_fitting(bound, box, capacity))
         for matrices, q in product(lists, range(1, 9)):
             scale = _scale(polytope, box, q, capacity)
             expected = placement_reference.contained_placements(
                 polytope, box, capacity, matrices, q, scale
             )
-            found = _contained_placements(polytope, box, capacity, matrices, q, scale)
+            groups = _height_groups(polytope, matrices)
+            found = _contained_placements(polytope, box, capacity, groups, q, scale)
             assert _filled(found, scale // q) == expected
 
 
@@ -537,9 +583,9 @@ def test_contained_placements_match_the_per_matrix_scan(polytope, bound):
 def test_contained_placements_empty_above_least_width(domain, capacity, expected):
     polytope = moment_polytope(domain)
     box = polytope.bounding_box()
-    matrices = _unimodular_matrices(polytope.dimension, 1)
+    groups = _height_groups(polytope, _unimodular_matrices(polytope.dimension, 1))
     scale = _scale(polytope, box, 4, capacity)
-    placements = _contained_placements(polytope, box, capacity, matrices, 4, scale)
+    placements = _contained_placements(polytope, box, capacity, groups, 4, scale)
     assert isinstance(placements, list)
     assert bool(placements) == expected
 
@@ -548,10 +594,10 @@ def test_contained_placements_ignore_a_larger_scale():
     # A multiple of the least scale gives the same placements, scaled.
     polytope = _QUADRILATERAL
     box = polytope.bounding_box()
-    matrices = _unimodular_matrices(2, 2)
+    groups = _height_groups(polytope, _unimodular_matrices(2, 2))
     scale = _scale(polytope, box, 4, F(1, 3))
-    small = _flat(_contained_placements(polytope, box, F(1, 3), matrices, 4, scale))
-    large = _flat(_contained_placements(polytope, box, F(1, 3), matrices, 4, 6 * scale))
+    small = _flat(_contained_placements(polytope, box, F(1, 3), groups, 4, scale))
+    large = _flat(_contained_placements(polytope, box, F(1, 3), groups, 4, 6 * scale))
     assert small
     assert large == [(m, tuple(6 * t for t in tau)) for m, tau in small]
 
@@ -565,7 +611,8 @@ def test_contained_placements_share_one_list_per_slack_vector():
     box = polytope.bounding_box()
     scale = _scale(polytope, box, 2, F(1, 2))
     matrices = _unimodular_matrices(3, 1)
-    families = _contained_placements(polytope, box, F(1, 2), matrices, 2, scale)
+    groups = _height_groups(polytope, matrices)
+    families = _contained_placements(polytope, box, F(1, 2), groups, 2, scale)
     assert all(taus and members for taus, members in families)
     assert any(len(members) > 1 for _, members in families)
     listed = [matrix for _, members in families for matrix in members]
@@ -574,7 +621,9 @@ def test_contained_placements_share_one_list_per_slack_vector():
         assert list(members) == sorted(members, key=matrices.index)
     family_of = {matrix: taus for taus, members in families for matrix in members}
     for matrix in matrices:
-        alone = _contained_placements(polytope, box, F(1, 2), [matrix], 2, scale)
+        alone = _contained_placements(
+            polytope, box, F(1, 2), _height_groups(polytope, [matrix]), 2, scale
+        )
         assert alone == ([(family_of[matrix], [matrix])] if matrix in family_of else [])
 
 
@@ -709,8 +758,8 @@ def test_separating_axis_test_matches_interiors_disjoint(pair):
     expected = interiors_disjoint(
         *(_simplex(c, m, tau, 2) for c, families in pair for m, tau in _flat(families))
     )
-    assert (_find_disjoint_pair(*first, *second, 2) is not None) == expected
-    assert (_find_disjoint_pair(*second, *first, 2) is not None) == expected
+    assert (_find_disjoint_pair(*first, *second, 2, {}) is not None) == expected
+    assert (_find_disjoint_pair(*second, *first, 2, {}) is not None) == expected
 
 
 def test_edge_pairs_separate_what_facets_cannot():
@@ -723,7 +772,7 @@ def test_edge_pairs_separate_what_facets_cannot():
         for nu, beta in inward_facets(a):
             assert max(sum(x * y for x, y in zip(nu, v)) for v in b) > beta
     assert interiors_disjoint(*(_simplex(c, *_flat(fams)[0], 2) for c, fams in _EDGE_PAIR))
-    assert _find_disjoint_pair(*first, *second, 2) is not None
+    assert _find_disjoint_pair(*first, *second, 2, {}) is not None
 
 
 @settings(max_examples=300, deadline=None)
@@ -736,7 +785,7 @@ def test_sweep_matches_interiors_disjoint(probe):
     flat = [[_simplex(c, m, tau, 2) for m, tau in _flat(families)] for c, families in probe]
     pairs = combinations(flat[0], 2) if second is first else product(*flat)
     expected = any(interiors_disjoint(a, b) for a, b in pairs)
-    pair = _find_disjoint_pair(*first, *second, 2)
+    pair = _find_disjoint_pair(*first, *second, 2, {})
     assert (pair is not None) == expected
     if pair is not None:
         assert pair[0] in flat[0] and pair[1] in flat[1]
@@ -754,7 +803,7 @@ def test_sweep_matches_the_reference_sweep(probe):
     # dot and a second pass for the winning translation.
     first, second = probe
     expected = sweep_reference.find_disjoint_pair(*first, *second, 2)
-    assert _find_disjoint_pair(*first, *second, 2) == expected
+    assert _find_disjoint_pair(*first, *second, 2, {}) == expected
 
 
 @pytest.mark.parametrize(
@@ -775,12 +824,14 @@ def test_sweep_matches_the_reference_sweep_on_search_lists(polytope, q):
     for cap_a, cap_b in [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1), F(1))]:
         scale = _scale(polytope, box, q, cap_a, cap_b)
         lists = [
-            _contained_placements(polytope, box, c, packing._fitting_matrices(2, box, c), q, scale)
+            _contained_placements(
+                polytope, box, c, _height_groups(polytope, _fitting(2, box, c)), q, scale
+            )
             for c in (cap_a, cap_b)
         ]
         first, second = lists if cap_a != cap_b else (lists[0], lists[0])
         expected = sweep_reference.find_disjoint_pair(cap_a, first, cap_b, second, scale)
-        assert _find_disjoint_pair(cap_a, first, cap_b, second, scale) == expected
+        assert _find_disjoint_pair(cap_a, first, cap_b, second, scale, {}) == expected
 
 
 @pytest.mark.parametrize(
@@ -803,15 +854,16 @@ def test_sweep_on_run_ends_matches_the_reference_sweep_on_full_lists(polytope, q
         scale = _scale(polytope, box, q, cap_a, cap_b)
         lists, full = [], []
         for c in (cap_a, cap_b):
-            matrices = packing._fitting_matrices(2, box, c)
-            lists.append(_contained_placements(polytope, box, c, matrices, q, scale))
+            matrices = _fitting(2, box, c)
+            groups = _height_groups(polytope, matrices)
+            lists.append(_contained_placements(polytope, box, c, groups, q, scale))
             full.append(
                 placement_reference.contained_placements(polytope, box, c, matrices, q, scale)
             )
         if cap_a == cap_b:
             lists[1], full[1] = lists[0], full[0]
         expected = sweep_reference.find_disjoint_pair(cap_a, full[0], cap_b, full[1], scale)
-        assert _find_disjoint_pair(cap_a, lists[0], cap_b, lists[1], scale) == expected
+        assert _find_disjoint_pair(cap_a, lists[0], cap_b, lists[1], scale, {}) == expected
 
 
 def test_a_fine_grid_lists_two_translations_per_grid_line():
@@ -823,8 +875,8 @@ def test_a_fine_grid_lists_two_translations_per_grid_line():
     lengths = []
     for capacity in [F(3, 2), F(1023, 1024), F(1, 2)]:
         scale = _scale(polytope, box, q, capacity)
-        matrices = packing._fitting_matrices(2, box, capacity)
-        families = _contained_placements(polytope, box, capacity, matrices, q, scale)
+        groups = _height_groups(polytope, _fitting(2, box, capacity))
+        families = _contained_placements(polytope, box, capacity, groups, q, scale)
         assert families
         for taus, _ in families:
             assert max(Counter(tau[:-1] for tau in taus).values()) <= 2
@@ -884,7 +936,7 @@ def test_scan_has_no_pair_budget():
             break
     assert disjoint is not None
     second = [([tau], [matrix]) for matrix, tau in overlapping + [disjoint]]
-    pair = _find_disjoint_pair(F(2), [([(0, 0)], [identity])], F(2), second, 1)
+    pair = _find_disjoint_pair(F(2), [([(0, 0)], [identity])], F(2), second, 1, {})
     assert pair == (triangle, _simplex(F(2), *disjoint))
 
 
