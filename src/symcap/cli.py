@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import serialize
 from .capacities import c2b_closed_form, gromov_width_simplex_preimage, spectral_diameter
 from .exactgeom import ELLIPSOID, POLYDISK, ToricDomain
-from .packing import SearchConfig, canonical_certificate, search_ceiling, search_two_balls
+from .packing import SearchConfig, canonical_certificate, search_two_balls
 from .profiles import CN, CPN, RadialProfile, Space, TwoBallSystem, build_profile
 from .rationals import fmt, rat
 from .spectra import action_spectrum, spectral_norm_candidates
@@ -198,18 +198,6 @@ def _run_pack(args) -> str:
             equal_balls=not args.unequal,
         )
         certificate = search_two_balls(domain, config)
-        if certificate is None:
-            ceiling, tolerance = search_ceiling(domain), config.bisection_tolerance
-            if tolerance >= ceiling:
-                raise ValueError(
-                    f"search found no verified placement: the ceiling {fmt(ceiling)} "
-                    f"does not pack, and no lower total is probed with a bisection "
-                    f"tolerance of {fmt(tolerance)}; pass a --tolerance below the ceiling"
-                )
-            raise ValueError(
-                f"search found no verified placement: no total packs below the "
-                f"ceiling {fmt(ceiling)}, bisected to a tolerance of {fmt(tolerance)}"
-            )
     else:
         certificate = canonical_certificate(domain, parse_rational(args.epsilon))
     if args.json or (args.out and args.out.endswith(".json")):

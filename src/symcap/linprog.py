@@ -86,11 +86,7 @@ def solve_lp(
     total = n + m
     tableau = [rows[r] + [_ONE if j == r else _ZERO for j in range(m)] + [rhs[r]] for r in range(m)]
     basis = [n + r for r in range(m)]
-    phase1 = [_ZERO] * total + [_ZERO]
-    for r in range(m):
-        for j in range(total + 1):
-            phase1[j] -= tableau[r][j] if j < total else 0
-        phase1[-1] -= tableau[r][-1]
+    phase1 = [-sum((line[j] for line in tableau), _ZERO) for j in range(total + 1)]
     for j in range(n, total):
         phase1[j] += _ONE
     tableau.append(phase1)

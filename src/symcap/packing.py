@@ -44,7 +44,7 @@ from .exactgeom import (
     interiors_disjoint,
     moment_polytope,
 )
-from .rationals import is_infinite, rat
+from .rationals import fmt, is_infinite, rat
 
 # Work budget of the SL_n(Z) enumeration, in the (2B+1)^(n^2-1) tuples of
 # its walk without spread limits, so that an admitted enumeration takes well
@@ -98,8 +98,10 @@ class SearchConfig:
     GRID_BUDGET points is refused.  When ``equal_balls`` is
     false the search also probes the splits (t/3, 2t/3) and (t/4, 3t/4) of
     each total t.  Each probe sweeps every contained grid placement, so a
-    failed probe proves that no pair on its grid packs at that split; the
-    bisection tolerance is the search's only cut (see `search_two_balls`).
+    failed probe proves that no pair on its grid packs at that split.  The
+    bisection stops at the tolerance or at half the ceiling, whichever is
+    less, so it halves an unpacked ceiling at least once; that is the
+    search's only cut (see `search_two_balls`).
     """
 
     matrix_entry_bound: int = 2
@@ -201,17 +203,6 @@ def _corner_reflection(n: int, corner) -> SpecialAffineTransform:
 # ---------------------------------------------------------------------------
 
 
-def _check_enumeration_budget(n: int, bound: int) -> None:
-    """Raise ValueError if the SL_n(Z) walk of entry bound `bound` would
-    exceed ENUMERATION_BUDGET tuples, whatever its row spreads."""
-    tuples = (2 * bound + 1) ** (n * n - 1)
-    if tuples > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"SL_{n}(Z) enumeration with entry bound {bound} walks {tuples} "
-            f"tuples, above the budget of {ENUMERATION_BUDGET}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _unimodular_matrices(n: int, bound: int, spreads=None) -> tuple:
     """One SL_n(Z) matrix per simplex, in lexicographic order: the first of
@@ -234,9 +225,14 @@ def _unimodular_matrices(n: int, bound: int, spreads=None) -> tuple:
     is kept or dropped whole, and the list is the unlimited one filtered
     by spread.  Rows are shared between matrices.  Raises ValueError,
     before any enumeration, when the walk would exceed ENUMERATION_BUDGET
-    tuples.
+    tuples, whatever its spreads.
     """
-    _check_enumeration_budget(n, bound)
+    tuples = (2 * bound + 1) ** (n * n - 1)
+    if tuples > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"SL_{n}(Z) enumeration with entry bound {bound} walks {tuples} "
+            f"tuples, above the budget of {ENUMERATION_BUDGET}"
+        )
     if spreads is None:
         spreads = (2 * bound,) * n
     entries = range(-bound, bound + 1)
@@ -539,35 +535,35 @@ def _placement(capacity, found, scale) -> SimplexImage:
     return SimplexImage(capacity, SpecialAffineTransform(matrix, translation))
 
 
-def search_ceiling(domain: ToricDomain, box=None) -> Fraction:
+def search_ceiling(domain: ToricDomain, box) -> Fraction:
     """The total at which `search_two_balls` starts, a proven upper bound.
 
     No SL_n(Z) matrix has a zero row, so a simplex image of capacity c
     spans at least c along every axis: no total above twice the least
-    width w of the bounding box (`box`, computed when not given) packs,
-    and in dimension 1 none above w.  The ceiling is the closed-form c_2B
-    for ellipsoids and polydisks and that bound for other polytopes.
+    width w of the bounding box `box` packs, and in dimension 1 none above
+    w.  The ceiling is the closed-form c_2B for ellipsoids and polydisks
+    and that bound for other polytopes.  A positive ceiling that does not
+    pack is followed by at least one lower probe, at half of it.
     """
     try:
         return c2b_closed_form(domain).value
     except ValueError:  # no closed form for a general polytope
-        if box is None:
-            box = moment_polytope(domain).bounding_box()
         width = min(hi - lo for lo, hi in box)
         return width if len(box) == 1 else 2 * width
 
 
-def search_two_balls(
-    domain: ToricDomain, config: SearchConfig
-) -> PackingCertificate | None:
+def search_two_balls(domain: ToricDomain, config: SearchConfig) -> PackingCertificate:
     """Bisection on the packed total below a proven ceiling.
 
     Returns the best certificate found, whose `verified` it has read, or
-    None when no probed total packs.  The ceiling is `search_ceiling`'s.
-    A probe that packs at the ceiling ends the search; otherwise it
-    bisects on [0, ceiling].  A probe sweeps every
-    contained grid placement (`_find_disjoint_pair`), so a failed probe is
-    a proof for its grid.
+    raises ValueError naming the ceiling and the tolerance when no probed
+    total packs.  The ceiling is `search_ceiling`'s.  A probe that packs
+    at the ceiling ends the search; otherwise it bisects on [0, ceiling]
+    while the interval is wider than the tolerance or half the ceiling,
+    whichever is less, so a positive ceiling that does not pack is always
+    followed by a probe at half of it.  A probe sweeps every contained
+    grid placement (`_find_disjoint_pair`), so a failed probe is a proof
+    for its grid.
     """
     polytope = moment_polytope(domain)
     box = polytope.bounding_box()  # raises for unbounded input
@@ -579,9 +575,6 @@ def search_two_balls(
             f"bounding box, above the budget of {GRID_BUDGET}"
         )
     bound = config.matrix_entry_bound
-    # Refuses a too-large enumeration before doing any of it; each probe
-    # then lists only the matrices that fit the box at its capacities.
-    _check_enumeration_budget(polytope.dimension, bound)
     # A split's scale is the lcm of q, these and its two capacities'
     # denominators, so that both placement lists share one integer grid.
     denominators = [beta.denominator for _, beta in polytope.constraints]
@@ -621,13 +614,18 @@ def search_two_balls(
     best = probe(ceiling)
     if best is None:
         low, high = Fraction(0), ceiling
-        while high - low > config.bisection_tolerance:
+        while high - low > min(config.bisection_tolerance, ceiling / 2):
             mid = (low + high) / 2
             certificate = probe(mid)
             if certificate is None:
                 high = mid
             else:
                 best, low = certificate, mid
-    if best is not None and not best.verified:
+    if best is None:
+        raise ValueError(
+            f"search found no verified placement: no total packs below the ceiling "
+            f"{fmt(ceiling)}, bisected to a tolerance of {fmt(config.bisection_tolerance)}"
+        )
+    if not best.verified:
         raise AssertionError("search certificate failed verification")
     return best

@@ -142,9 +142,6 @@ class RadialProfile:
         r = rat(r)
         return poly_derivative(self.piece_at(r).coeffs, r)
 
-    def breakpoints(self) -> list[Fraction]:
-        return [piece.lo for piece in self.pieces[1:]]
-
     def negate(self) -> "RadialProfile":
         pieces = tuple(
             Piece(p.lo, p.hi, tuple(-c for c in p.coeffs)) for p in self.pieces

@@ -166,9 +166,12 @@ def case_packing() -> CaseResult:
         (polydisk(1, 1), Fraction(199, 100)),
         (ellipsoid(1, 1), Fraction(99, 100)),
     ):
-        cert = search_two_balls(domain, config)
+        try:
+            cert = search_two_balls(domain, config)
+        except ValueError:
+            return _predicate_case("packing", False, f"search {domain.describe()}")
         ceiling = c2b_closed_form(domain).value
-        if cert is None or cert.total < floor or cert.total > ceiling:
+        if cert.total < floor or cert.total > ceiling:
             return _predicate_case("packing", False, f"search {domain.describe()}")
         if not cert.verified:
             return _predicate_case("packing", False, f"unverified {domain.describe()}")

@@ -277,8 +277,23 @@ def test_search_on_flat_polytope_finds_nothing(monkeypatch):
     # ceiling is 0, so every probe has capacity 0 and lists no matrix.
     calls = _count_calls(monkeypatch, "_unimodular_matrices")
     flat = Polytope.from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
-    assert search_two_balls(polytope_domain(flat), SEARCH) is None
+    with pytest.raises(ValueError, match="ceiling 0"):
+        search_two_balls(polytope_domain(flat), SEARCH)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "domain,ceiling",
+    [(ellipsoid(F(1, 1000), 1), F(1, 500)), (ellipsoid(F(1, 150), 1), F(1, 75))],
+)
+def test_search_probes_half_an_unpacked_ceiling(domain, ceiling, monkeypatch):
+    # Neither ceiling packs.  1/500 is below the default tolerance 1/100,
+    # and 1/75 lies between it and twice it; either way the search makes
+    # one probe below the ceiling, at half of it, and that probe packs.
+    calls = _count_calls(monkeypatch, "_find_disjoint_pair")
+    cert = search_two_balls(domain, SearchConfig())
+    assert [cap_a + cap_b for cap_a, _, cap_b, *_ in calls] == [ceiling, ceiling / 2]
+    assert cert.total == ceiling / 2
 
 
 def test_search_recovers_trimmed_packing():
