@@ -3,136 +3,3 @@
 Everything is exact rational arithmetic (`fractions.Fraction`); the only
 non-rational value is the +inf sentinel for cylinder factors.
 """
-
-from .capacities import (
-    BoundReport,
-    BoundStep,
-    CancellationError,
-    CapacityValue,
-    c2b_closed_form,
-    compose_ball_bound,
-    cylinder_bound_report,
-    cylinder_upper_bound,
-    displacement_bounds,
-    displacement_energy_ball_bracket,
-    gromov_width_simplex_preimage,
-    special_ball_values,
-    spectral_diameter,
-    spectral_diameter_ellipsoid,
-    spectral_diameter_polydisk,
-)
-from .exactgeom import (
-    DimensionMismatch,
-    Polytope,
-    SimplexImage,
-    SpecialAffineTransform,
-    ToricDomain,
-    ball,
-    contains,
-    ellipsoid,
-    interiors_disjoint,
-    moment_polytope,
-    polydisk,
-    polytope_domain,
-    scale_domain,
-    simplex_vertices,
-)
-from .packing import (
-    PackingCertificate,
-    SearchConfig,
-    canonical_certificate,
-    search_two_balls,
-    verify_certificate,
-)
-from .profiles import (
-    Piece,
-    RadialProfile,
-    Space,
-    TwoBallSystem,
-    build_profile,
-    bump,
-    k_a,
-    reeb,
-    reeb_composite,
-    s_a,
-    t_s,
-    two_ball,
-    zero_profile,
-)
-from .rationals import INF, fmt, is_infinite, rat
-from .spectra import (
-    OrbitRecord,
-    SpectrumReport,
-    action_spectrum,
-    deformation_family_check,
-    find_orbits,
-    area_splitting_residual,
-    max_action_check,
-    reeb_slope_law,
-    spectral_norm_candidates,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "BoundReport",
-    "BoundStep",
-    "CancellationError",
-    "CapacityValue",
-    "DimensionMismatch",
-    "INF",
-    "OrbitRecord",
-    "PackingCertificate",
-    "Piece",
-    "Polytope",
-    "RadialProfile",
-    "SearchConfig",
-    "SimplexImage",
-    "Space",
-    "SpecialAffineTransform",
-    "SpectrumReport",
-    "ToricDomain",
-    "TwoBallSystem",
-    "action_spectrum",
-    "ball",
-    "build_profile",
-    "bump",
-    "c2b_closed_form",
-    "canonical_certificate",
-    "compose_ball_bound",
-    "contains",
-    "cylinder_bound_report",
-    "cylinder_upper_bound",
-    "deformation_family_check",
-    "displacement_bounds",
-    "displacement_energy_ball_bracket",
-    "ellipsoid",
-    "find_orbits",
-    "fmt",
-    "gromov_width_simplex_preimage",
-    "interiors_disjoint",
-    "is_infinite",
-    "k_a",
-    "area_splitting_residual",
-    "max_action_check",
-    "moment_polytope",
-    "polydisk",
-    "polytope_domain",
-    "rat",
-    "reeb",
-    "reeb_composite",
-    "reeb_slope_law",
-    "s_a",
-    "scale_domain",
-    "search_two_balls",
-    "simplex_vertices",
-    "special_ball_values",
-    "spectral_diameter",
-    "spectral_diameter_ellipsoid",
-    "spectral_diameter_polydisk",
-    "spectral_norm_candidates",
-    "t_s",
-    "two_ball",
-    "verify_certificate",
-    "zero_profile",
-]

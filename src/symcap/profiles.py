@@ -313,16 +313,8 @@ def t_s(a, eps, s, dim: int = 1) -> RadialProfile:
         raise ValueError("eps must lie in (0, a)")
     if not 0 <= s <= 1:
         raise ValueError("s must lie in [0, 1]")
-    if s == 1:
-        base = k_a(a, dim)
-        return RadialProfile(
-            base.pieces,
-            base.space,
-            construction="t_s",
-            params=_params(a=a, eps=eps, s=s),
-            smooth=False,
-        )
-    crossing = a - eps / (1 - s)  # where K_a meets s K_a - eps
+    # where K_a meets s K_a - eps; at s = 1, K_a and s K_a - eps never meet
+    crossing = a - eps / (1 - s) if s < 1 else _Z
     pieces = []
     if crossing > 0:
         pieces.append(Piece(_Z, crossing, _coeffs(-s * a - eps, s)))

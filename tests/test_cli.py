@@ -864,6 +864,23 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_a_module_loads_no_other_module_of_the_package():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, symcap.rationals; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'symcap'); "
+        "assert loaded == ['symcap', 'symcap.rationals'], loaded"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_output_bytes_are_deterministic(capsys):
     args = ["pack", "--domain", "ellipsoid:1,2", "--json"]
     run(args)

@@ -212,6 +212,15 @@ def test_t_s_values():
         assert t_s(a, eps, s).value(x_star) == -eps
 
 
+@pytest.mark.parametrize("a, eps", [(F(1, 2), F(1, 10)), (F(1, 3), F(1, 4)), (F(9, 10), F(1, 100))])
+def test_t_s_at_s_1_is_k_a(a, eps):
+    profile = t_s(a, eps, 1)
+    assert profile.pieces == k_a(a).pieces
+    assert not profile.smooth
+    assert profile.construction == "t_s"
+    assert dict(profile.params) == {"a": a, "eps": eps, "s": 1}
+
+
 def test_two_ball_supports():
     system = two_ball(1, 1, F(9, 10), F(4, 5), F(1, 100))
     assert system.positive.value(0) == F(179, 200)
