@@ -73,11 +73,9 @@ def cofactor_vector(rows) -> list[int]:
 
 
 def inward_facets(vertices) -> list[tuple[tuple[int, ...], int]]:
-    """Inward halfspaces nu . x > beta of a simplex with integer vertices.
-
-    One halfspace per facet that spans a hyperplane; for a full-dimensional
-    simplex their strict intersection is the open simplex.
-    """
+    """Inward halfspaces nu . x > beta, one per facet, of a full-dimensional
+    simplex with integer vertices (as every SimplexImage is, see
+    `interiors_disjoint`): their strict intersection is the open simplex."""
     n = len(vertices[0])
     facets = []
     for i, excluded in enumerate(vertices):
@@ -85,13 +83,8 @@ def inward_facets(vertices) -> list[tuple[tuple[int, ...], int]]:
         base = others[0]
         edges = [[p[axis] - base[axis] for axis in range(n)] for p in others[1:]]
         normal = cofactor_vector(edges)
-        if all(c == 0 for c in normal):
-            continue
         offset = _dot(normal, base)
-        side = _dot(normal, excluded) - offset
-        if side == 0:
-            continue
-        if side < 0:
+        if _dot(normal, excluded) < offset:
             normal = [-c for c in normal]
             offset = -offset
         facets.append((tuple(normal), offset))
@@ -161,10 +154,7 @@ class SpecialAffineTransform:
             for j in range(n)
         ]
         matrix = tuple(zip(*columns))
-        translation = tuple(
-            -sum((m * t for m, t in zip(row, self.translation)), Fraction(0))
-            for row in matrix
-        )
+        translation = tuple(-_dot(row, self.translation) for row in matrix)
         return SpecialAffineTransform(matrix, translation)
 
 
@@ -209,16 +199,13 @@ class Polytope:
     def transform(self, g: SpecialAffineTransform) -> "Polytope":
         """The image polytope g(P) = {Mx + tau : x in P}."""
         inv = g.inverse()
-        halfspaces = []
-        for nu, beta in self.constraints:
-            # nu . g^{-1}(y) <= beta  becomes  (nu M^{-1}) . y <= beta + nu . M^{-1} tau.
-            new_normal = tuple(
-                sum(Fraction(nu[i]) * Fraction(inv.matrix[i][j]) for i in range(self.dimension))
-                for j in range(self.dimension)
-            )
-            shift = -_dot(nu, inv.translation)
-            halfspaces.append((new_normal, beta + shift))
-        return Polytope.from_halfspaces(halfspaces)
+        columns = list(zip(*inv.matrix))
+        # nu . g^{-1}(y) <= beta  becomes  (nu M^{-1}) . y <= beta - nu . tau',
+        # where tau' = -M^{-1} tau is the translation of g^{-1}.
+        return Polytope.from_halfspaces(
+            (tuple([_dot(nu, column) for column in columns]), beta - _dot(nu, inv.translation))
+            for nu, beta in self.constraints
+        )
 
     def scale(self, factor: Fraction) -> "Polytope":
         if factor <= 0:
@@ -456,11 +443,8 @@ def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
     if s1.dimension != s2.dimension:
         raise DimensionMismatch("simplex dimensions disagree")
     n = s1.dimension
-    v = simplex_vertices(s1)
-    w = simplex_vertices(s2)
-
     k = n + 1
-    scaled = _integer_points(v + w)
+    scaled = _integer_points(simplex_vertices(s1) + simplex_vertices(s2))
     iv, iw = scaled[:k], scaled[k:]
     if _boxes_disjoint(iv, iw):
         return True
@@ -468,22 +452,14 @@ def interiors_disjoint(s1: SimplexImage, s2: SimplexImage) -> bool:
         return True
 
     # Variables: l_0..l_n, m_0..m_n, t (all >= 0), with the true
-    # barycentric weights being l_i + t and m_j + t.
-    nvars = 2 * k + 1
-    a_eq = []
-    b_eq = []
-    for axis in range(n):
-        row = [v[i][axis] for i in range(k)]
-        row += [-w[j][axis] for j in range(k)]
-        row.append(sum(v[i][axis] for i in range(k)) - sum(w[j][axis] for j in range(k)))
-        a_eq.append(row)
-        b_eq.append(Fraction(0))
-    a_eq.append([Fraction(1)] * k + [Fraction(0)] * k + [Fraction(k)])
-    b_eq.append(Fraction(1))
-    a_eq.append([Fraction(0)] * k + [Fraction(1)] * k + [Fraction(k)])
-    b_eq.append(Fraction(1))
-    objective = [Fraction(0)] * (nvars - 1) + [Fraction(1)]
-    status, _, value = solve_lp(objective, a_eq, b_eq)
+    # barycentric weights being l_i + t and m_j + t.  The point rows use the
+    # vertices at their common scale: scaling every vertex by one positive
+    # factor scales those rows, whose right-hand side is 0, so the feasible
+    # set and the optimum t are those of the unscaled LP.
+    a_eq = [[*a, *[-x for x in b], sum(a) - sum(b)] for a, b in zip(zip(*iv), zip(*iw))]
+    a_eq.append([1] * k + [0] * k + [k])
+    a_eq.append([0] * k + [1] * k + [k])
+    status, _, value = solve_lp([0] * (2 * k) + [1], a_eq, [0] * n + [1, 1])
     if status == INFEASIBLE:
         return True
     assert status == OPTIMAL

@@ -142,8 +142,10 @@ def canonical_certificate(domain: ToricDomain, slack) -> PackingCertificate:
     eps = rat(slack)
     if eps <= 0:
         raise ValueError("slack must be positive")
+    if domain.kind not in (ELLIPSOID, POLYDISK):
+        raise ValueError("canonical certificates exist only for ellipsoids and polydisks")
     n = domain.dimension
-    a1 = None if domain.kind == "polytope" else domain.params[0]
+    a1 = domain.params[0]
     if domain.kind == ELLIPSOID:
         a_top = domain.params[-1]
         if not is_infinite(a_top) and a_top < 2 * a1:
@@ -151,12 +153,10 @@ def canonical_certificate(domain: ToricDomain, slack) -> PackingCertificate:
                 "no canonical two-ball certificate: largest axis below twice the smallest"
             )
         second = _ellipsoid_shear(n, a1)
-    elif domain.kind == POLYDISK:
+    else:
         if n < 2:
             raise ValueError("polydisk certificate needs at least two factors")
         second = _corner_reflection(n, domain.params)
-    else:
-        raise ValueError("canonical certificates exist only for ellipsoids and polydisks")
     if eps >= 2 * a1:
         raise ValueError("slack must be below twice the smallest parameter")
     capacity = a1 - eps / 2

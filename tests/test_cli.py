@@ -229,6 +229,30 @@ def test_check_detects_tampering(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
+def test_check_accepts_a_pair_that_only_the_lp_separates(capsys, monkeypatch, tmp_path):
+    # Two unit simplices in the box [-3, 3]^3 that neither the box nor the
+    # facet pre-check of `interiors_disjoint` separates: only the cross
+    # product of an edge of each does, so the LP accepts the pair.
+    path = Path(__file__).parent / "data" / "check_edge_pair_3d.json"
+    calls = []
+    original = exactgeom.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactgeom, "solve_lp", counted)
+    assert run(["check", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "verified total 2\n"
+    assert len(calls) == 1
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["simplices"][1] = data["simplices"][0]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(data))
+    assert run(["check", str(moved)]) == EXIT_FAILED
+    assert capsys.readouterr().out == "FAILED total 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcap import exactgeom
@@ -26,7 +26,8 @@ from symcap.exactgeom import (
 from symcap.linprog import OPTIMAL
 from symcap.rationals import INF
 
-from lp_reference import maximize_over_polytope
+from lp_reference import interiors_disjoint_lp, maximize_over_polytope
+from test_packing import _EDGE_PAIR, _TOUCHING_EDGE_PAIR
 
 F = Fraction
 
@@ -240,10 +241,10 @@ def unimodular(draw, n):
 
 
 @st.composite
-def simplex_pairs(draw):
+def simplex_pairs(draw, dimensions=st.integers(2, 3)):
     """Two simplices on a half-integer grid, so touching and overlapping
     pairs are common, plus a common move g in SL_n(Z) x Z^n."""
-    n = draw(st.integers(2, 3))
+    n = draw(dimensions)
     half_integers = st.integers(-2, 2).map(lambda k: F(k, 2))
 
     def transform(translations):
@@ -352,6 +353,26 @@ def test_disjointness_invariant_under_common_move(case):
     (s1, s2), g = case
     moved = [SimplexImage(s.capacity, g.compose(s.transform)) for s in (s1, s2)]
     assert interiors_disjoint(s1, s2) == interiors_disjoint(*moved)
+
+
+def _at_scale_2(pair):
+    """The simplices of a pair of one-placement lists of `test_packing`."""
+    return tuple(
+        SimplexImage(c, SpecialAffineTransform(m, tuple(F(t, 2) for t in tau)))
+        for c, (((tau,), (m,)),) in pair
+    )
+
+
+@given(simplex_pairs(st.integers(1, 4)))
+@settings(max_examples=400, deadline=None)
+@example(case=(_at_scale_2(_EDGE_PAIR), None))
+@example(case=(_at_scale_2(_TOUCHING_EDGE_PAIR), None))
+def test_disjointness_matches_the_lp_alone(case):
+    # The box and facet pre-checks, and the LP on integer vertices, give
+    # the verdict of the LP alone on the Fraction vertices.  The two
+    # examples are separated only by an edge pair, so only the LP decides them.
+    (s1, s2), _ = case
+    assert interiors_disjoint(s1, s2) == interiors_disjoint_lp(s1, s2)
 
 
 def test_disjointness_in_three_dimensions():
@@ -493,3 +514,36 @@ def test_bounding_box_matches_linear_programming(halfspaces, boxed):
             polytope.bounding_box()
     else:
         assert polytope.bounding_box() == expected
+
+
+def reference_transform(polytope, g):
+    """g(P) by the Fraction formula: nu . g^{-1}(y) <= beta becomes
+    (nu M^{-1}) . y <= beta + nu . M^{-1} tau."""
+    n = polytope.dimension
+    inverse = g.inverse().matrix
+    shift = [sum((m * t for m, t in zip(row, g.translation)), F(0)) for row in inverse]
+    return Polytope.from_halfspaces(
+        (
+            tuple(sum(F(nu[i]) * F(inverse[i][j]) for i in range(n)) for j in range(n)),
+            beta + sum((F(a) * t for a, t in zip(nu, shift)), F(0)),
+        )
+        for nu, beta in polytope.constraints
+    )
+
+
+@st.composite
+def polytope_moves(draw):
+    """Halfspaces in dimension 2..4, bounded or not, and g in SL_n(Z) x Q^n."""
+    n = draw(st.integers(2, 4))
+    polytope = Polytope.from_halfspaces(draw(_halfspace_lists(n)))
+    translation = tuple(draw(rationals(-3, 3)) for _ in range(n))
+    return polytope, SpecialAffineTransform(draw(unimodular(n)), translation)
+
+
+@given(polytope_moves())
+@settings(max_examples=300, deadline=None)
+def test_transform_round_trips_and_matches_the_fraction_formula(case):
+    polytope, g = case
+    image = polytope.transform(g)
+    assert image.constraints == reference_transform(polytope, g).constraints
+    assert image.transform(g.inverse()) == polytope
