@@ -213,6 +213,8 @@ def _run_pack(args) -> str:
 def _run_spectrum(args) -> str:
     if args.recap < 0:
         raise ParseFailure("--recap must be >= 0")
+    if args.recap and parse_space(args.space).kind != CPN:
+        raise ParseFailure("--recap needs --space cpn:N")
     system = _build_system(args)
     report = action_spectrum(system, recapping_window=args.recap)
     payload = serialize.spectrum_report_to_json(report)

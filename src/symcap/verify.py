@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 import os
 import random
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, islice
-from operator import itemgetter, ne
+from operator import itemgetter
 
 from .capacities import (
     c2b_closed_form,
@@ -329,13 +327,15 @@ def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     """Compare exact orbit radii against a float grid scan of h'(r) = k.
 
     Samples h' on [0, R] in steps of `_STEP` and finds the roots of
-    h'(r) - k for every integer k in one pass.  The pieces are decided in
-    floats alone: a float r lies on the first piece whose float `hi` is at
-    least r, so a sample on a float breakpoint takes the left piece.  A
-    sample whose slope is an integer k is itself a root; consecutive such
-    samples with the same k form a run.  A pair of neighbouring samples
-    whose slopes have different floors brackets each k strictly between
-    them, and every sign change of h' - k there is bisected to `_TOL`.
+    h'(r) - k for every integer k in one pass over the runs of equal
+    consecutive slope: an affine piece is one run, a quadratic piece a
+    run per sample.  The pieces are decided in floats alone: a float r
+    lies on the first piece whose float `hi` is at least r, so a sample on
+    a float breakpoint takes the left piece.  A sample whose slope is an
+    integer k is itself a root, and a run of them is one group.  The
+    slope's floor changes only between runs, so only the last sample of a
+    run and the first of the next can bracket a k strictly between their
+    slopes, and every sign change of h' - k there is bisected to `_TOL`.
     Each root needs a matching exact radius within 10 `_TOL` or a covering
     plateau widened by as much; a run that one plateau covers end to end
     is checked once, any other run root by root.  Roots are checked by k,
@@ -348,7 +348,7 @@ def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     r_max = max(r_max, 1.0)
 
     deriv = _derivative(profile)
-    slopes = _sample_slopes(profile, int(r_max / _STEP) + 1)
+    runs = _sample_runs(profile, int(r_max / _STEP) + 1)
 
     exact = find_orbits(profile)
     exact_radii = [float(o.radius) for o in exact if o.radius is not None]
@@ -360,19 +360,12 @@ def oracle_orbit_match(profile: RadialProfile) -> tuple[bool, str]:
     # Each group is (k, index of its first sample, its ascending roots).
     groups: list[tuple[int, int, Sequence[float]]] = []
     # The last sample starts no pair, so it is never a root itself.
-    integral = bytes(map(float.is_integer, islice(slopes, len(slopes) - 1)))
-    for match in re.finditer(rb"\x01+", integral):
-        a, b = match.span()
-        run = slopes[a:b]
-        if run.count(run[0]) == len(run):
-            cuts = [a, b]
-        else:
-            cuts = [a, *compress(range(a + 1, b), map(ne, islice(run, 1, None), run)), b]
-        groups += [(int(slopes[i]), i, _SampleRun(range(i, j))) for i, j in zip(cuts, cuts[1:])]
-
-    floors = list(map(math.floor, slopes))
-    for i in compress(count(), map(ne, floors, islice(floors, 1, None))):
-        s0, s1 = slopes[i], slopes[i + 1]
+    end = runs[-1][1] - 1
+    # The last run is paired with itself, which brackets no k.
+    for (start, stop, s0), (_, _, s1) in zip(runs, runs[1:] + runs[-1:]):
+        if s0.is_integer() and start < end:
+            groups.append((int(s0), start, _SampleRun(range(start, min(stop, end)))))
+        i = stop - 1
         for k in range(math.floor(min(s0, s1)) + 1, math.floor(max(s0, s1)) + 1):
             if (s0 - k) * (s1 - k) < 0:
                 lo, hi = i * _STEP, (i + 1) * _STEP
@@ -450,22 +443,32 @@ def _derivative(profile: RadialProfile) -> Callable[[float], float]:
     return deriv
 
 
-def _sample_slopes(profile: RadialProfile, samples: int) -> list[float]:
-    """``_derivative(profile)(i * _STEP)`` for each i < `samples`, bit for
-    bit, a piece at a time: each piece takes the samples up to and
-    including its float `hi`, and the last piece takes the rest."""
+def _sample_runs(profile: RadialProfile, samples: int) -> list[tuple[int, int, float]]:
+    """The slopes ``_derivative(profile)(i * _STEP)`` for i < `samples`, bit
+    for bit, as runs ``(start, stop, slope)`` of equal consecutive slopes
+    that tile ``[0, samples)``; adjacent runs differ in slope.  Each piece
+    takes the samples up to and including its float `hi`, and the last
+    piece takes the rest.  An affine piece gives one run, a quadratic one
+    a run per sample before merging."""
     radii = _SampleRun(range(samples))
     last = len(profile.pieces) - 1
-    slopes: list[float] = []
+    runs: list[tuple[int, int, float]] = []
+    start = 0
     for p, piece in enumerate(profile.pieces):
         _, c1, c2 = piece.coeffs
         c1, twice = float(c1), 2.0 * float(c2)
         stop = samples if p == last else bisect_right(radii, float(piece.hi))
         if twice == 0.0:  # twice * r is twice itself for every r >= 0
-            slopes += [c1 + twice] * (stop - len(slopes))
+            spans = [(start, stop, c1 + twice)] if start < stop else []
         else:
-            slopes += [c1 + twice * (i * _STEP) for i in range(len(slopes), stop)]
-    return slopes
+            spans = [(i, i + 1, c1 + twice * (i * _STEP)) for i in range(start, stop)]
+        for span in spans:
+            if runs and runs[-1][2] == span[2]:
+                runs[-1] = (runs[-1][0], span[1], span[2])
+            else:
+                runs.append(span)
+        start = max(start, stop)
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Test-only reference for the float orbit oracle: the per-k grid scan.
 
-`verify.oracle_orbit_match` finds every root in one pass over the samples
-and checks each plateau run once.  This is the scan it replaced: one pass
-over the samples for every integer k, every root checked on its own
-against every exact radius and plateau.  The tests require both to return
+`verify.oracle_orbit_match` finds every root in one pass over the runs of
+equal consecutive slope and checks each plateau run once.  This is the
+scan it replaced: one pass over the samples for every integer k, every
+root checked on its own against every exact radius and plateau.  The tests require both to return
 the same verdict and detail.
 """
 

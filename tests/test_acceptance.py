@@ -5,6 +5,8 @@ case finishes in well under ten seconds.  A pass/fail line is printed
 per criterion so the suite reads as a checklist.
 """
 
+from pathlib import Path
+
 import pytest
 
 from symcap import packing, verify
@@ -48,6 +50,7 @@ def test_suite_driver_reports_all_pass():
     assert result.ok
     text = verify.format_suite(result)
     assert "14 passed, 0 failed" in text
+    assert text == (Path(__file__).parent / "data" / "verify.txt").read_text()
 
 
 def test_packing_case_verifies_each_certificate_once(monkeypatch):

@@ -690,6 +690,20 @@ def test_spectrum_recap(capsys):
     assert capsys.readouterr().out == "{-5/4, -1/4, 3/4, 7/4}\n"
 
 
+@pytest.mark.parametrize(
+    "profile",
+    ["bump:a=1,eta=9/10,delta=1/100", "two_ball:a=1,b=1,eta=9/10,mu=4/5,delta=1/100"],
+    ids=["profile", "two_ball"],
+)
+def test_spectrum_recap_outside_cpn_exits_2(profile, capsys):
+    # Recapping exists only on CP^n; on C^n the window would be ignored.
+    assert run(["spectrum", "--profile", profile, "--recap", "2"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "symcap: --recap needs --space cpn:N\n"
+    assert run(["spectrum", "--profile", profile, "--recap", "0"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("extra", [[], ["--norm"]])
 def test_spectrum_recap_over_budget_exits_3(extra, capsys, monkeypatch):
     def recapping_started(*args, **kwargs):

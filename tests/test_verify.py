@@ -9,7 +9,18 @@ import oracle_reference
 import pytest
 
 from symcap import verify
-from symcap.profiles import RadialProfile, bump, k_a, reeb, reeb_composite, t_s
+from symcap.profiles import (
+    CPN,
+    Piece,
+    RadialProfile,
+    Space,
+    bump,
+    k_a,
+    reeb,
+    reeb_composite,
+    t_s,
+    two_ball,
+)
 from symcap.spectra import OrbitRecord, find_orbits
 
 F = Fraction
@@ -37,6 +48,10 @@ def _piece_slope(piece, r: float) -> float:
     return float(c1) + 2.0 * float(c2) * r
 
 
+def _expand(runs) -> list[float]:
+    return [slope for start, stop, slope in runs for _ in range(start, stop)]
+
+
 def test_a_float_breakpoint_belongs_to_its_left_piece():
     # Sample 5000 of k_a lies exactly on the float of its kink 1/2.
     profile = k_a(F(1, 2))
@@ -45,7 +60,7 @@ def test_a_float_breakpoint_belongs_to_its_left_piece():
     assert r == float(left.hi) == 0.5
     assert _piece_slope(left, r) != _piece_slope(right, r)
     assert verify._derivative(profile)(r) == _piece_slope(left, r)
-    assert verify._sample_slopes(profile, 5001)[5000] == _piece_slope(left, r)
+    assert _expand(verify._sample_runs(profile, 5001))[5000] == _piece_slope(left, r)
     # Sample 3500 of t_s lies one ulp right of the float of its kink 7/20,
     # so it takes the piece right of the kink; the verdict is unchanged.
     profile = t_s(F(1, 2), F(1, 10), F(1, 3))
@@ -55,7 +70,7 @@ def test_a_float_breakpoint_belongs_to_its_left_piece():
     assert r == 0.35000000000000003 == math.nextafter(float(left.hi), 1.0)
     assert _piece_slope(left, r) != _piece_slope(right, r)
     assert verify._derivative(profile)(r) == _piece_slope(right, r)
-    assert verify._sample_slopes(profile, 3501)[3500] == _piece_slope(right, r)
+    assert _expand(verify._sample_runs(profile, 3501))[3500] == _piece_slope(right, r)
     assert verify.oracle_orbit_match(profile) == (True, "")
 
 
@@ -111,8 +126,13 @@ def test_oracle_makes_no_exact_lookup(monkeypatch):
 )
 def test_slopes_are_the_per_sample_derivative(profile):
     expected = oracle_reference.reference_slopes(profile)
-    slopes = verify._sample_slopes(profile, len(expected))
-    assert list(map(float.hex, slopes)) == list(map(float.hex, expected))
+    runs = verify._sample_runs(profile, len(expected))
+    assert list(map(float.hex, _expand(runs))) == list(map(float.hex, expected))
+    # The runs tile [0, samples), and neighbours differ in slope.
+    assert runs[0][0] == 0 and runs[-1][1] == len(expected)
+    assert all(start < stop for start, stop, _ in runs)
+    for (_, stop, slope), (start, _, next_slope) in zip(runs, runs[1:]):
+        assert stop == start and slope != next_slope
 
 
 @pytest.mark.parametrize(
@@ -124,10 +144,43 @@ def test_oracle_matches_the_per_k_scan(profile):
     assert verify.oracle_orbit_match(profile) == oracle_reference.oracle_orbit_match(profile)
 
 
+def _random_profiles(rounds: int, seed: int) -> list[RadialProfile]:
+    """Per round a bump, reeb, reeb_composite, t_s and k_a profile and both
+    halves of a two_ball system."""
+    rng = random.Random(seed)
+    profiles = []
+    for _ in range(rounds):
+        a, eta = F(rng.randint(2, 12), 4), F(rng.randint(1, 9), 10)
+        profiles.append(bump(a, eta, eta * a * F(rng.randint(1, 99), 100)))
+        profiles.append(reeb(F(rng.randint(0, 9), 10), F(rng.randint(1, 50), 100)))
+        profiles.append(reeb_composite(F(rng.randint(11, 19), 20), F(rng.randint(1, 50), 100)))
+        a = F(rng.randint(1, 9), 10)
+        profiles.append(t_s(a, a * F(rng.randint(1, 9), 10), F(rng.randint(0, 10), 10)))
+        profiles.append(k_a(F(rng.randint(1, 99), 100)))
+        a, b = F(rng.randint(2, 8), 4), F(rng.randint(2, 8), 4)
+        eta, mu = F(rng.randint(1, 9), 10), F(rng.randint(1, 9), 10)
+        system = two_ball(a, b, eta, mu, min(eta * a, mu * b) * F(rng.randint(1, 99), 100))
+        profiles += [system.positive, system.negative]
+    return profiles
+
+
+def _drop_a_radius(orbits):
+    radius = next((o.radius for o in orbits if o.radius is not None), None)
+    return [o for o in orbits if o.radius is None or o.radius != radius]
+
+
+def _drop_plateaus(orbits):
+    return [o for o in orbits if o.locus != "plateau"]
+
+
+def _add_spurious_radius(orbits):
+    return orbits + [OrbitRecord("interior", 0, F(0), radius=F(1, 2))]
+
+
 def _shorten_plateaus(orbits):
     return [
         dataclasses.replace(o, interval=(o.interval[0], o.interval[1] / 2))
-        if o.locus == "plateau"
+        if o.locus == "plateau" and o.interval[1] is not None
         else o
         for o in orbits
     ]
@@ -140,6 +193,28 @@ def _move_radii(orbits):
     ]
 
 
+_EDITS = {
+    "identity": lambda orbits: orbits,
+    "radius-dropped": _drop_a_radius,
+    "plateaus-dropped": _drop_plateaus,
+    "spurious-radius": _add_spurious_radius,
+    "plateaus-shortened": _shorten_plateaus,
+    "radii-moved": _move_radii,
+}
+
+
+@pytest.mark.parametrize("edit", _EDITS.values(), ids=_EDITS)
+def test_oracle_matches_the_per_k_scan_on_random_profiles(edit, monkeypatch):
+    monkeypatch.setattr(verify, "find_orbits", lambda p: edit(find_orbits(p)))
+    verdicts = []
+    for profile in _random_profiles(6, 0):
+        verdict = verify.oracle_orbit_match(profile)
+        assert verdict == oracle_reference.oracle_orbit_match(profile), _params_id(profile)
+        verdicts.append(verdict[0])
+    # The identity passes everywhere; each other edit fails somewhere.
+    assert all(verdicts) == (edit is _EDITS["identity"])
+
+
 @pytest.mark.parametrize(
     "profile,edit",
     [
@@ -147,16 +222,13 @@ def _move_radii(orbits):
             reeb_composite(F(3, 4), F(1, 10)),
             lambda orbits: [o for o in orbits if o.radius != F(16, 15)],
         ),
-        (bump(1, F(9, 10), F(1, 100)), lambda orbits: [o for o in orbits if o.locus != "plateau"]),
-        (
-            bump(1, F(9, 10), F(1, 100)),
-            lambda orbits: orbits + [OrbitRecord("interior", 0, F(0), radius=F(1, 2))],
-        ),
+        (bump(1, F(9, 10), F(1, 100)), _drop_plateaus),
+        (bump(1, F(9, 10), F(1, 100)), _add_spurious_radius),
         (reeb(F(1, 2), F(1, 10)), _shorten_plateaus),
         (reeb_composite(F(3, 4), F(1, 10)), _move_radii),
         # Slope 1 up to the kink at 1/2 and 0 after it: the k = 0 roots,
         # though farther out, come first.
-        (k_a(F(1, 2)), lambda orbits: [o for o in orbits if o.locus != "plateau"]),
+        (k_a(F(1, 2)), _drop_plateaus),
     ],
     ids=[
         "isolated-radius-dropped",
@@ -192,6 +264,18 @@ def test_the_last_sample_is_no_root(monkeypatch):
     assert oracle_reference.oracle_orbit_match(profile) == (True, "")
 
 
+def test_the_last_sample_that_starts_a_pair_can_be_a_root(monkeypatch):
+    # Slope 1/2, then 1 from the kink on: sample 9998 lies left of the kink,
+    # and sample 9999, the last that starts a pair, opens a run of slope 1.
+    kink = F(19997, 20000)
+    pieces = (Piece(F(0), kink, (F(0), F(1, 2), F(0))), Piece(kink, F(1), (-kink / 2, F(1), F(0))))
+    profile = RadialProfile(pieces, Space(CPN, 1), smooth=False)
+    monkeypatch.setattr(verify, "find_orbits", lambda p: [])
+    verdict = (False, f"oracle root {9999 * STEP} has no exact counterpart")
+    assert verify.oracle_orbit_match(profile) == verdict
+    assert oracle_reference.oracle_orbit_match(profile) == verdict
+
+
 def test_oracle_checks_each_run_once(monkeypatch):
     calls = 0
     first_unmatched = verify._first_unmatched
@@ -206,3 +290,19 @@ def test_oracle_checks_each_run_once(monkeypatch):
     # 14 runs and bisected roots over the ten profiles; a check per root
     # would make about 136,000.
     assert calls <= 100
+
+
+def test_oracle_scans_runs_not_samples(monkeypatch):
+    runs = 0
+    sample_runs = verify._sample_runs
+
+    def counted(profile, samples):
+        nonlocal runs
+        result = sample_runs(profile, samples)
+        runs += len(result)
+        return result
+
+    monkeypatch.setattr(verify, "_sample_runs", counted)
+    assert verify.case_orbit_oracle().passed
+    # 4,463 runs over the ten profiles, against 247,109 samples.
+    assert runs <= 5000
