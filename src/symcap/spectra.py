@@ -244,12 +244,55 @@ def spectral_norm_candidates(report: SpectrumReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Closed-form spectra
+# ---------------------------------------------------------------------------
+
+
+def reeb_composite_spectrum(s: Fraction, delta: Fraction) -> tuple[Fraction, Fraction]:
+    """The spectrum of reeb_composite(s, delta), for 1/2 < s < 1 and delta > 0.
+
+    Ascending: the winding-1 plateau on [0, 1], of action -2s (1 + delta/2),
+    and the winding-0 orbit at r = 1 + delta/(2s), of action
+    1 - 2s - s delta + delta/(4s), which is 1 + delta/(4s) above it.
+    The tail slope 1 - 2s lies in (-1, 0), so the tail has no orbit."""
+    plateau = -(s + s + s * delta)
+    return (plateau, plateau + 1 + delta / (4 * s))
+
+
+def closed_form_spectrum(system: RadialProfile | TwoBallSystem) -> tuple[Fraction, ...]:
+    """The exact action spectrum of a named C^n construction, ascending,
+    read off its parameters; ValueError for any other construction.
+
+    * ``reeb_composite(s, delta)``: see `reeb_composite_spectrum`.
+    * ``reeb(sigma, delta)``: the winding-0 plateau on [0, 1] alone, at
+      -sigma (1 + delta/2); at sigma = 0 the zero profile, {0}.
+    * ``bump(a, eta, delta)``: the winding-0 plateau from r = a at 0, and
+      the origin at eta a - delta/2 > 0; the slope -eta is no integer.
+    * ``two_ball(a, b, eta, mu, delta)``: the bump's values and the
+      negated ones of bump(b, mu, delta)."""
+    p = dict(system.params)
+    construction = system.construction
+    if construction == "reeb_composite":
+        return reeb_composite_spectrum(p["s"], p["delta"])
+    if construction == "reeb":
+        return (-p["sigma"] * (1 + p["delta"] / 2),)
+    if construction == "bump":
+        return (_Z, p["eta"] * p["a"] - p["delta"] / 2)
+    if construction == "two_ball":
+        return (p["delta"] / 2 - p["mu"] * p["b"], _Z, p["eta"] * p["a"] - p["delta"] / 2)
+    raise ValueError(f"no closed-form spectrum for construction {construction!r}")
+
+
+# ---------------------------------------------------------------------------
 # Derived checks
 # ---------------------------------------------------------------------------
 
 
 def max_action_check(s, delta) -> dict:
-    """Max action of the composite rotation versus (1 - 2s)(1 + delta/2)."""
+    """Max action of the composite rotation, from the orbit engine, versus
+    (1 - 2s)(1 + delta/2).  By `reeb_composite_spectrum` the bound exceeds
+    the max action by exactly delta (2s - 1)/(4s), which is positive for
+    every 1/2 < s < 1 and delta > 0."""
     s, delta = rat(s), rat(delta)
     profile = reeb_composite(s, delta)
     spectrum = action_spectrum(profile).spectrum
@@ -260,18 +303,18 @@ def max_action_check(s, delta) -> dict:
 
 def reeb_slope_law(sigmas, delta) -> dict:
     """Pure slowdowns have singleton spectra {-sigma (1 + delta/2)} obeying
-    an exact affine law in the speed."""
+    an exact affine law in the speed: each engine spectrum must equal
+    `closed_form_spectrum`.  `spectra` maps each speed to the least value
+    of its engine spectrum."""
     delta = rat(delta)
-    speeds = [rat(sigma) for sigma in sigmas]
-    unit = 1 + delta / 2
     spectra = {}
-    for sigma in speeds:
-        spectrum = action_spectrum(reeb(sigma, delta)).spectrum
-        if len(spectrum) != 1:
-            raise AssertionError(f"pure slowdown spectrum not a singleton: {spectrum}")
+    ok = True
+    for sigma in map(rat, sigmas):
+        profile = reeb(sigma, delta)
+        spectrum = action_spectrum(profile).spectrum
         spectra[sigma] = spectrum[0]
-    ok = all(value == -sigma * unit for sigma, value in spectra.items())
-    return {"spectra": spectra, "slope": -unit, "ok": ok}
+        ok = ok and spectrum == closed_form_spectrum(profile)
+    return {"spectra": spectra, "slope": -(1 + delta / 2), "ok": ok}
 
 
 # Denominator of the rational grid on [0, 1] that deformation_family_check scans.

@@ -48,6 +48,7 @@ from .spectra import (
     find_orbits,
     area_splitting_residual,
     max_action_check,
+    reeb_composite_spectrum,
     reeb_slope_law,
     spectral_norm_candidates,
 )
@@ -221,15 +222,38 @@ def case_ball_chain() -> CaseResult:
     return _predicate_case("five-step chain equals 1 + delta/2 on 10-point grid", True)
 
 
+# Points of case_item_v_bound's grid, besides its corners, at which it runs
+# the orbit engine.
+_COMPOSITE_SAMPLES = 28
+
+
 def case_item_v_bound() -> CaseResult:
+    """Max action of reeb_composite(s, delta) at most (1 - 2s)(1 + delta/2).
+
+    The pinned point (3/4, 1/10) goes through the orbit engine.  At each
+    point s = 1/2 + i/42, delta = j/80 (i, j = 1..20) of a 20x20 grid the
+    closed form `reeb_composite_spectrum` must obey the bound; its margin
+    is exactly delta (2s - 1)/(4s), positive on the whole region
+    1/2 < s < 1, delta > 0.  At the four corners and at
+    `_COMPOSITE_SAMPLES` more grid points drawn with `_rng()` the engine's
+    whole spectrum must equal the closed form; tests/test_spectra.py
+    requires the same at every grid point."""
     check = max_action_check(Fraction(3, 4), Fraction(1, 10))
     if check["max_action"] != Fraction(-13, 24) or check["bound"] != Fraction(-21, 40):
         return _predicate_case("composite rotation bound", False, "pinned values")
+    corners = [(1, 1), (1, 20), (20, 1), (20, 20)]
+    inner = [(i, j) for i in range(1, 21) for j in range(1, 21) if (i, j) not in corners]
+    sampled = set(corners + _rng().sample(inner, _COMPOSITE_SAMPLES))
     for i in range(1, 21):
+        s = Fraction(1, 2) + Fraction(i, 42)
+        tail = 1 - 2 * s
         for j in range(1, 21):
-            s = Fraction(1, 2) + Fraction(i, 42)
             delta = Fraction(j, 80)
-            if not max_action_check(s, delta)["ok"]:
+            spectrum = reeb_composite_spectrum(s, delta)
+            if max(spectrum) > tail * (1 + delta / 2) or (
+                (i, j) in sampled
+                and action_spectrum(reeb_composite(s, delta)).spectrum != spectrum
+            ):
                 return _predicate_case(
                     "composite rotation bound", False, f"s={fmt(s)} delta={fmt(delta)}"
                 )

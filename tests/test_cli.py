@@ -651,6 +651,13 @@ def test_spectrum_cpn3_golden_bytes(capsys):
     assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
 
+def test_spectrum_reeb_composite_golden_bytes(capsys):
+    path = Path(__file__).parent / "data" / "spectrum_reeb_composite.json"
+    argv = ["spectrum", "--profile", "reeb_composite:s=3/4,delta=1/10", "--json"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 def test_spectrum_shift_too_long_to_print_exits_3_at_once(capsys):
     # The shift of k_a (a = 1/3) on CP^20000 has a denominator of 3^20000.
     start = time.perf_counter()

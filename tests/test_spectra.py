@@ -1,16 +1,19 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcap import spectra
 from symcap.profiles import (
     CN,
     CPN,
     Piece,
     RadialProfile,
     Space,
+    TwoBallSystem,
     bump,
     k_a,
     reeb,
@@ -28,7 +31,9 @@ from symcap.spectra import (
     deformation_family_check,
     find_orbits,
     area_splitting_residual,
+    closed_form_spectrum,
     max_action_check,
+    reeb_composite_spectrum,
     reeb_slope_law,
     spectral_norm_candidates,
 )
@@ -150,7 +155,8 @@ def test_interior_orbits_on_seeded_profiles(seed):
     assert interior >= 5  # the steep profile alone has windings 0 to 4
 
 
-# Corners of the 20 x 20 grid that case_item_v_bound scans.
+# Corners of case_item_v_bound's 20 x 20 grid, where the case runs the
+# orbit engine against the closed form on every pass, whatever the seed.
 @pytest.mark.parametrize(
     "s, delta, spectrum",
     [
@@ -162,6 +168,69 @@ def test_interior_orbits_on_seeded_profiles(seed):
 )
 def test_reeb_composite_spectra_at_the_grid_corners(s, delta, spectrum):
     assert action_spectrum(reeb_composite(s, delta)).spectrum == spectrum
+    assert reeb_composite_spectrum(s, delta) == spectrum
+
+
+# ---------------------------------------------------------------------------
+# Closed-form spectra against the orbit engine
+# ---------------------------------------------------------------------------
+
+
+def test_reeb_composite_closed_form_on_the_whole_grid():
+    # Every point s = 1/2 + i/42, delta = j/80 of case_item_v_bound's grid;
+    # the case itself runs the engine on 32 of them.  The bound exceeds
+    # the max action by exactly delta (2s - 1)/(4s).
+    for i in range(1, 21):
+        for j in range(1, 21):
+            s, delta = F(1, 2) + F(i, 42), F(j, 80)
+            profile = reeb_composite(s, delta)
+            closed = closed_form_spectrum(profile)
+            assert action_spectrum(profile).spectrum == closed
+            assert closed == reeb_composite_spectrum(s, delta)
+            bound = (1 - 2 * s) * (1 + delta / 2)
+            assert bound - max(closed) == delta * (2 * s - 1) / (4 * s)
+
+
+def _seeded_named_systems(seed: int, rounds: int) -> list[RadialProfile | TwoBallSystem]:
+    """reeb at sigma = 0, then per round a reeb_composite, reeb, bump and
+    two_ball system on C^1 to C^3 with drawn parameters."""
+    rng = random.Random(seed)
+
+    def draw(lo: int, hi: int, den: int) -> Fraction:
+        return F(rng.randint(lo, hi), den)
+
+    systems = [reeb(0, draw(1, 50, 100))]
+    for _ in range(rounds):
+        dim = rng.randint(1, 3)
+        a, b = draw(1, 40, 10), draw(1, 40, 10)
+        eta, mu = draw(1, 99, 100), draw(1, 99, 100)
+        systems += [
+            reeb_composite(F(1, 2) + draw(1, 49, 100), draw(1, 2000, 10), dim),
+            reeb(draw(0, 99, 100), draw(1, 2000, 10), dim),
+            bump(a, eta, eta * a * draw(1, 99, 100), dim),
+            two_ball(a, b, eta, mu, min(eta * a, mu * b) * draw(1, 99, 100), dim),
+        ]
+    return systems
+
+
+def test_closed_forms_on_seeded_systems():
+    systems = _seeded_named_systems(0, 50)
+    assert len(systems) == 201
+    for system in systems:
+        assert action_spectrum(system).spectrum == closed_form_spectrum(system), system.params
+
+
+@given(
+    st.fractions(min_value=F(1, 2), max_value=1, max_denominator=1000).filter(
+        lambda s: F(1, 2) < s < 1
+    ),
+    st.fractions(min_value=0, max_value=200, max_denominator=1000).filter(lambda d: d > 0),
+)
+@settings(max_examples=100, deadline=None)
+def test_reeb_composite_closed_form_property(s, delta):
+    closed = reeb_composite_spectrum(s, delta)
+    assert action_spectrum(reeb_composite(s, delta)).spectrum == closed
+    assert (1 - 2 * s) * (1 + delta / 2) - max(closed) == delta * (2 * s - 1) / (4 * s) > 0
 
 
 def _cn1(*pieces, smooth=True) -> RadialProfile:
@@ -170,6 +239,24 @@ def _cn1(*pieces, smooth=True) -> RadialProfile:
         Piece(F(lo), None if hi is None else F(hi), tuple(map(F, c))) for lo, hi, c in pieces
     )
     return RadialProfile(pieces, Space(CN, 1), smooth=smooth)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        s_a(F(1, 4)),
+        k_a(F(1, 2)),
+        t_s(F(1, 2), F(1, 10), F(1, 3)),
+        zero_profile(),
+        reeb_composite(F(3, 4), F(1, 10)).negate(),
+        two_ball(1, 1, F(9, 10), F(4, 5), F(1, 100)).negate(),
+        _cn1((0, None, (0, 0, 0))),
+    ],
+    ids=lambda system: system.construction,
+)
+def test_closed_form_spectrum_refuses_other_constructions(system):
+    with pytest.raises(ValueError, match="no closed-form spectrum"):
+        closed_form_spectrum(system)
 
 
 def _interior(k, r, action):
@@ -406,6 +493,22 @@ def test_reeb_slope_law():
     assert result["ok"]
     assert result["spectra"][F(1, 2)] - result["spectra"][F(1, 4)] == F(-21, 80)
     assert reeb_slope_law([F(1, 10), F(9, 10)], F(1, 50))["ok"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda orbits: [replace(o, action=o.action + F(1, 100)) for o in orbits],
+        lambda orbits: orbits + [replace(orbits[0], action=F(7))],
+    ],
+    ids=["shifted", "extra-orbit"],
+)
+def test_reeb_slope_law_fails_on_a_wrong_engine(edit, monkeypatch):
+    # A wrong spectrum is a failed law, not an exception, so the acceptance
+    # suite reports it as a failed case.
+    find_orbits = spectra.find_orbits
+    monkeypatch.setattr(spectra, "find_orbits", lambda p: edit(find_orbits(p)))
+    assert not reeb_slope_law([F(1, 4), F(1, 2)], F(1, 10))["ok"]
 
 
 def test_deformation_family():
